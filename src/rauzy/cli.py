@@ -82,17 +82,20 @@ def _sibling(path: str, ext: str) -> str:
     return path + ext
 
 
-def _check_geometry(args) -> None:
-    if args.width < 16 or args.height < 16:
-        raise ParseError("width and height must be at least 16")
-    if not 0 <= args.margin < 0.5:
-        raise ParseError("margin must lie in [0, 0.5)")
+def _check_flags(args) -> None:
+    """Reject bad shared flags before any input is read or any cloud built."""
+    if getattr(args, "chain", 0) < 0:
+        raise ParseError("--chain must be nonnegative")
+    if getattr(args, "out", None) and hasattr(args, "width"):
+        if args.width < 16 or args.height < 16:
+            raise ParseError("width and height must be at least 16")
+        if not 0 <= args.margin < 0.5:
+            raise ParseError("margin must lie in [0, 0.5)")
 
 
 def _write_outputs(args, approx) -> None:
     if not getattr(args, "out", None):
         return
-    _check_geometry(args)
     fmt = args.format
     if fmt in ("csv", "both"):
         path = args.out if fmt == "csv" else _sibling(args.out, ".csv")
@@ -270,8 +273,10 @@ def cmd_cover(args) -> int:
 
 
 def cmd_render(args) -> int:
-    _check_geometry(args)
-    approx = read_points_csv(args.infile)
+    try:
+        approx = read_points_csv(args.infile)
+    except OSError as e:
+        raise ParseError(f"cannot read {args.infile}: {e.strerror or e}") from None
     data = render_ppm(approx, args.width, args.height, margin=args.margin)
     with open(args.out, "wb") as f:
         f.write(data)
@@ -477,6 +482,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

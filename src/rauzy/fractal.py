@@ -9,6 +9,9 @@ sequence is the union over occurrences of i of M_s times a subtile of the
 shifted sequence plus the projected prefix count.  Both produce a dict of
 point clouds per letter, and their Hausdorff distance in the adapted norm is
 the headline consistency number.
+
+scipy.spatial is imported inside the functions that build k-d trees, so the
+commands that never build one start without loading scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .adic import (
     DirectiveSequence,
@@ -475,6 +477,8 @@ def gifs_attractor(
                     continue
                 kept, removed = _thin(pts, keep, key_seed=(level << 8) | i)
                 if len(removed):
+                    from scipy.spatial import cKDTree
+
                     tree = cKDTree(to_adapted(sd, kept))
                     loss = float(tree.query(to_adapted(sd, removed))[0].max())
                     thinning_loss += loss * sd.lam**level  # later levels shrink it
@@ -526,6 +530,8 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise ValueError("expected two (n, k) point arrays with matching k")
     if len(a) == 0 or len(b) == 0:
         raise DomainError("Hausdorff distance of an empty set is undefined")
+    from scipy.spatial import cKDTree
+
     idx_ab = cKDTree(b).query(a)[1]
     idx_ba = cKDTree(a).query(b)[1]
     d_ab = np.sqrt(np.sum((a - b[idx_ab]) ** 2, axis=1))
@@ -690,6 +696,8 @@ def _resolution_estimate(sd: SpectralData, approx: RauzyApprox) -> float:
     if len(pts) < 2:
         return 0.0
     sample = pts if len(pts) <= 20_000 else pts[:: len(pts) // 20_000 + 1]
+    from scipy.spatial import cKDTree
+
     dist, _ = cKDTree(pts).query(sample, k=2)
     return float(np.median(dist[:, 1]))
 
@@ -741,6 +749,8 @@ def coverage_estimate(
     cloud = approx.union()
     if len(cloud) == 0:
         raise DomainError("empty approximation")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(cloud)
     tol = eps if eps is not None else grid_step
     covered = np.zeros(len(grid), dtype=bool)

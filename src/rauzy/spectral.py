@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import (
     ConvergenceError,
@@ -280,9 +279,8 @@ def perron_data(m: IntMatrix, tol: float = 1e-12) -> SpectralData:
     y = _inverse_polish(mf.T, beta, y)
     v = y / float(y @ u)
 
-    basis = null_space(v.reshape(1, -1))
-    if basis.shape != (d, d - 1):
-        raise ConvergenceError("stable space does not have dimension d-1")
+    # orthonormal basis of v's kernel: the trailing right singular vectors
+    basis = np.linalg.svd(v.reshape(1, -1))[2][1:].T
     frame = np.column_stack([basis, u])
     proj = np.linalg.inv(frame)[: d - 1, :]
     m_s = proj @ mf @ basis

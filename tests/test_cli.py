@@ -23,6 +23,32 @@ def run_cli(*argv, env_extra=None, timeout=300):
 
 
 # ---------------------------------------------------------------------------
+# start-up
+
+
+def test_picture_commands_load_no_scipy(tribo_path, tmp_path):
+    # only the commands that build k-d trees may pay for importing scipy
+    csv = str(tmp_path / "cloud.csv")
+    code = (
+        "import sys\n"
+        "import rauzy.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded(), loaded()\n"
+        "for argv in (\n"
+        f"    ['info', '--subs', {tribo_path!r}],\n"
+        f"    ['fractal', '--subs', {tribo_path!r}, '--points', '500', '--out', {csv!r},\n"
+        "     '--format', 'both', '--width', '64', '--height', '64'],\n"
+        f"    ['render', '--in', {csv!r}, '--out', {csv!r} + '.ppm', '--width', '64', '--height', '64'],\n"
+        "):\n"
+        "    assert rauzy.cli.main(argv) == 0\n"
+        "    assert not loaded(), (argv[0], loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # info
 
 
@@ -115,6 +141,24 @@ def test_bad_geometry_and_counts(tribo_path, tmp_path):
     assert run_cli("gifs", "--subs", tribo_path, "--depth", "0").returncode == 2
 
 
+def test_bad_geometry_refused_before_compute(tribo_path, tmp_path):
+    proc = run_cli(
+        "fractal", "--subs", tribo_path, "--points", "200000",
+        "--width", "8", "--out", str(tmp_path / "x.csv"),
+    )
+    assert proc.returncode == 2
+    assert "width and height" in proc.stderr
+    assert "sequence:" not in proc.stdout
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_negative_chain_refused(tribo_path):
+    proc = run_cli("fractal", "--subs", tribo_path, "--points", "100", "--chain", "-1")
+    assert proc.returncode == 2
+    assert "--chain" in proc.stderr
+    assert "sequence:" not in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # resource budgets
 
@@ -169,6 +213,28 @@ def test_fractal_csv_ppm_and_render_round_trip(tribo_path, tmp_path):
     assert proc.returncode == 0
     with open(redrawn, "rb") as f:
         assert f.read() == data
+
+
+def test_render_refuses_non_finite_csv(tmp_path):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("letter,x1,x2\n1,0.5,0.25\n2,nan,0.5\n3,0.0,inf\n", encoding="ascii")
+    out = tmp_path / "nan.ppm"
+    proc = run_cli("render", "--in", str(csv), "--out", str(out))
+    assert proc.returncode == 2
+    assert "line 3: non-finite coordinate" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
+def test_render_refuses_unreadable_input(tmp_path):
+    missing = run_cli("render", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "a.ppm"))
+    assert missing.returncode == 2
+    assert "cannot read" in missing.stderr
+    csv = tmp_path / "latin.csv"
+    csv.write_bytes(b"letter,x1,x2\n1,0.5,0.25\n2,0.5,\xb10.5\n")
+    proc = run_cli("render", "--in", str(csv), "--out", str(tmp_path / "b.ppm"))
+    assert proc.returncode == 2
+    assert "line 3: malformed row" in proc.stderr
 
 
 def test_fractal_deterministic_bytes(tribo_path, tmp_path):

@@ -1,12 +1,16 @@
 """Serialization and rendering tests: CSV round trips and PPM rasters."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rauzy import emit
 from rauzy.core import DomainError, ParseError
 from rauzy.emit import (
     default_colors,
-    format_float,
     read_points_csv,
     render_ppm,
     write_points_csv,
@@ -16,13 +20,113 @@ from rauzy.adic import DirectiveSequence
 
 CONST_1 = DirectiveSequence.periodic((), (0,))
 
+# -0.0, the smallest subnormal, a mid-range subnormal, the smallest normal,
+# huge and tiny magnitudes, integers stored as floats, and 0.1
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e300,
+    1.7976931348623157e308, 3.0, -7.0, 1e16, 0.1,
+]
 
-def test_format_float_round_trip():
+
+def reference_csv(approx):
+    """The points CSV format, one float at a time."""
+    k = approx.d - 1
+    lines = ["letter," + ",".join(f"x{i + 1}" for i in range(k))]
+    for letter in sorted(approx.points):
+        for row in approx.points[letter]:
+            lines.append(str(letter) + "," + ",".join(format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_read(path):
+    """The line-by-line reader the format is defined by: (letter, coords)
+    pairs in file order, or the ParseError message."""
+    with open(path, "r", encoding="ascii", errors="replace") as f:
+        header = f.readline().strip()
+        cols = header.split(",")
+        if len(cols) < 2 or cols[0] != "letter" or cols[1] != "x1":
+            return f"{path}: not a points CSV (header {header!r})"
+        k = len(cols) - 1
+        rows = []
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != k + 1:
+                return f"{path} line {lineno}: expected {k + 1} fields"
+            try:
+                letter = int(fields[0])
+                coords = [float(v) for v in fields[1:]]
+            except ValueError:
+                return f"{path} line {lineno}: malformed row"
+            if not 1 <= letter <= k + 1:
+                return f"{path} line {lineno}: letter {letter} outside 1..{k + 1}"
+            if not all(math.isfinite(v) for v in coords):
+                return f"{path} line {lineno}: non-finite coordinate"
+            rows.append((letter, coords))
+    return rows if rows else f"{path}: no points"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _edge_cloud(d, rng):
+    """Letter 1 holds every edge value, letter 2 is empty, the rest random."""
+    k = d - 1
+    edge = np.column_stack([np.roll(EDGE_VALUES, j) for j in range(k)])
+    points = {1: edge, 2: np.zeros((0, k))}
+    for i in range(3, d + 1):
+        points[i] = rng.normal(size=(40, k)) * 10.0 ** rng.integers(-12, 12, size=(40, k))
+    return RauzyApprox(points=points, d=d, source="gifs")
+
+
+def test_csv_float_text_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    for x in rng.normal(size=50):
-        assert float(format_float(float(x))) == float(x)
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(1.0) == "1"
+    approx = RauzyApprox(
+        points={1: np.array([[0.1], [1.0]]), 2: rng.normal(size=(50, 1))}, d=2, source="gifs"
+    )
+    path = tmp_path / "floats.csv"
+    write_points_csv(approx, str(path))
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[1:3] == ["1,0.10000000000000001", "1,1"]
+    back = read_points_csv(str(path))
+    assert np.array_equal(back.points[2], approx.points[2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_csv_bytes_match_per_float_reference(d, tmp_path, monkeypatch):
+    approx = _edge_cloud(d, np.random.default_rng(d))
+    path = str(tmp_path / "edge.csv")
+    write_points_csv(approx, path)
+    with open(path, "rb") as f:
+        assert f.read() == reference_csv(approx)
+    # chunk boundaries inside a letter's rows give the same bytes
+    monkeypatch.setattr(emit, "_CHUNK_ROWS", 5)
+    chunked = str(tmp_path / "chunked.csv")
+    write_points_csv(approx, chunked)
+    with open(chunked, "rb") as f:
+        assert f.read() == reference_csv(approx)
+    back = read_points_csv(path)
+    assert back.d == d
+    for i in range(1, d + 1):
+        assert back.points[i].shape == (len(approx.points[i]), d - 1)
+        assert np.array_equal(_bits(back.points[i]), _bits(approx.points[i]))
+
+
+def test_csv_written_files_take_the_bulk_reader(tribo_set, tmp_path, monkeypatch):
+    approx = project_prefixes(CONST_1, tribo_set, 2000)
+    path = str(tmp_path / "cloud.csv")
+    write_points_csv(approx, path)
+
+    def line_reader(*args):
+        raise AssertionError("a written file fell back to the line-by-line reader")
+
+    monkeypatch.setattr(emit, "_parse_rows", line_reader)
+    back = read_points_csv(path)
+    for i in (1, 2, 3):
+        assert np.array_equal(back.points[i], approx.points[i])
 
 
 def test_default_colors():
@@ -91,6 +195,56 @@ def test_csv_read_reports_line_numbers(tmp_path):
     rogue = _write(tmp_path, "rogue.csv", "letter,x1,x2\n9,0.0,0.0\n")
     with pytest.raises(ParseError, match="letter 9 outside 1..3"):
         read_points_csv(rogue)
+    blank = _write(tmp_path, "blank.csv", "letter,x1,x2\n1,0.0,0.0\n\n2,zero,0.0\n")
+    with pytest.raises(ParseError, match="line 4: malformed"):
+        read_points_csv(blank)
+    comment = _write(tmp_path, "comment.csv", "letter,x1,x2\n1,0.0,0.0\n# note\n")
+    with pytest.raises(ParseError, match="line 3: expected 3 fields"):
+        read_points_csv(comment)
+    float_letter = _write(tmp_path, "float_letter.csv", "letter,x1,x2\n1,0.0,0.0\n1.0,0.0,0.0\n")
+    with pytest.raises(ParseError, match="line 3: malformed"):
+        read_points_csv(float_letter)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "-Infinity"])
+def test_csv_read_rejects_non_finite(bad, tmp_path):
+    path = _write(tmp_path, "nonfinite.csv", f"letter,x1,x2\n1,0.0,0.0\n\n2,0.5,{bad}\n")
+    with pytest.raises(ParseError, match="line 4: non-finite coordinate"):
+        read_points_csv(path)
+
+
+# rows of 2-4 fields; each field is a number-like token, mostly bare, at
+# times wrapped in whitespace, control characters or other stray bytes
+_JUNK = st.sampled_from([""] * 8 + [" ", "\t", "\x0b", "\x1c", "\x1f", "\x00", "\xe9", "_", "#"])
+_TOKEN = st.sampled_from(
+    ["1", "2", "3", "4", "0", "-1", "+2", "01", "1_0", "1.0", "1e0", "0.5", "-2.5e-3",
+     "1_5.0", "1e400", "nan", "-inf", "0x1", ""]
+)
+_FIELD = st.tuples(_JUNK, _TOKEN, _JUNK).map("".join)
+_ROW = st.one_of(
+    st.lists(_FIELD, min_size=3, max_size=3), st.lists(_FIELD, min_size=2, max_size=4)
+).map(",".join)
+_BODY = st.tuples(
+    st.lists(st.one_of(_ROW, _ROW, _JUNK), max_size=6), st.sampled_from(["\n", "\r\n", "\r"])
+).map(lambda t: t[1].join(t[0]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_BODY)
+def test_csv_reader_agrees_with_line_reference(body, tmp_path):
+    path = str(tmp_path / "fuzz.csv")
+    with open(path, "w", encoding="latin-1", newline="") as f:
+        f.write("letter,x1,x2\n" + body)
+    expected = reference_read(path)
+    try:
+        got = read_points_csv(path)
+    except ParseError as e:
+        assert str(e) == expected
+        return
+    assert not isinstance(expected, str), f"accepted a file the reference rejects: {expected}"
+    for i in (1, 2, 3):
+        want = np.array([c for letter, c in expected if letter == i], dtype=float).reshape(-1, 2)
+        assert np.array_equal(_bits(got.points[i]), _bits(want))
 
 
 def test_csv_read_rejects_empty(tmp_path):

@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
-from rauzy.core import DomainError, IndeterminateError, IntMatrix
+from rauzy.adic import SubstitutionSet
+from rauzy.core import DomainError, IndeterminateError, IntMatrix, parse_substitution_set
 from rauzy.spectral import (
     CharPoly,
     adapted_norm,
@@ -178,6 +180,29 @@ def test_projection_batch_matches_single(tribo_sd):
     batch = project(tribo_sd, xs)
     for i in range(10):
         assert np.allclose(batch[i], project(tribo_sd, xs[i]), atol=1e-14)
+
+
+TETRA_TEXT = """\
+alphabet: abcd
+
+[sub tetra]
+a -> ab
+b -> ac
+c -> ad
+d -> a
+"""
+
+
+@pytest.mark.parametrize("which", ["tribo", "tetra"])
+def test_projection_bit_equal_to_scipy_null_space(which, tribo_set):
+    # the stable basis comes from numpy's SVD; scipy.linalg.null_space is
+    # the reference it must match bit for bit
+    sset = tribo_set if which == "tribo" else SubstitutionSet(parse_substitution_set(TETRA_TEXT))
+    sd = sset.spectral()
+    basis = null_space(sd.v.reshape(1, -1))
+    proj = np.linalg.inv(np.column_stack([basis, sd.u]))[: sd.d - 1, :]
+    assert sd.stable_basis.tobytes() == basis.tobytes()
+    assert sd.proj_coords.tobytes() == proj.tobytes()
 
 
 # ---------------------------------------------------------------------------

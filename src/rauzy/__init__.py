@@ -14,7 +14,6 @@ from .adic import (
     factor_gap_check,
     first_letter_map,
     is_primitive_sequence,
-    letter_frequencies,
     limit_letter_chains,
     limit_point_prefix,
     parse_sequence_spec,

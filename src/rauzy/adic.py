@@ -6,6 +6,11 @@ family of words whose union is a limit point of the sequence.  Which letters
 are suitable is governed by the first-letter maps of the substitutions: a
 chain (a_0, ..., a_n) with a_k = first letter of sigma_k(a_(k+1)) guarantees
 that each stage is a prefix of the next.
+
+limit_tower is the one place that deepens the composition: it grows
+per-letter lengths, refusing a stalled chain, an exhausted finite sequence
+and a word over the byte cap, then builds the chain's level words top-down.
+The limit word, the telescoping peel and the identity sweep all read it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .core import (
     ParseError,
     ResourceError,
     Substitution,
-    abelianize,
     primitivity_exponent,
 )
 
@@ -281,6 +285,11 @@ def parse_sequence_spec(spec: str, n_subs: int) -> DirectiveSequence:
 # ---------------------------------------------------------------------------
 # first-letter chains and limit points
 
+_PREFIX_BYTE_CAP = 1 << 27  # letters in any word of the tower
+_STALL_LEVELS = 48  # levels the tower's word may go without growing
+_SELECT_LEVELS = 64  # how far below its depth the tower picks the chain
+_CHAIN_LOOKAHEAD = 32  # levels limit_letter_chains looks ahead to prune dead ends
+
 
 def first_letter_map(sub: Substitution) -> dict[int, int]:
     """letter -> first letter of its image."""
@@ -317,7 +326,7 @@ def limit_letter_chains(
     seq: DirectiveSequence,
     sset: SubstitutionSet,
     depth: int,
-    horizon: int = 32,
+    horizon: int = _CHAIN_LOOKAHEAD,
 ) -> list[tuple[int, ...]]:
     """Valid first-letter chains (a_0, ..., a_depth), lexicographically sorted.
 
@@ -356,52 +365,57 @@ def limit_letter_chains(
     return chains
 
 
-# Cap on the raw bytes a limit-point prefix computation may allocate.
-_PREFIX_BYTE_CAP = 1 << 27
+def _select_chain(seq: DirectiveSequence, sset: SubstitutionSet, depth: int, chain_index: int) -> tuple[int, ...]:
+    """The chain_index-th chain at depth + _SELECT_LEVELS (or where a finite
+    sequence ends), so towers of every depth up to there read one limit
+    point: a chain the look-ahead keeps at one depth may die at a deeper one."""
+    top = depth + _SELECT_LEVELS
+    while top > depth:
+        try:
+            seq[top - 1]
+            break
+        except IndexError:
+            top -= 1
+    chains = limit_letter_chains(seq, sset, top)
+    return chains[chain_index % len(chains)]
 
 
-def limit_point_prefix(
+def limit_tower(
     seq: DirectiveSequence,
     sset: SubstitutionSet,
     min_len: int,
     chain_index: int = 0,
-    horizon: int = 32,
-    stall_limit: int = 48,
-) -> bytes:
-    """First min_len letters of a limit point of the directive sequence.
+) -> tuple[tuple[int, ...], list[bytes]]:
+    """The level words of a limit point, deep enough for min_len letters.
 
-    Deepens the composition sigma_0 o ... o sigma_(n-1) until the word at the
-    selected chain's top letter reaches min_len, verifying at the end that
-    each stage is a prefix of the next.  chain_index selects among the valid
-    chains (reduced modulo their count), so 0 is always safe and distinct
-    indices reach distinct limit points when several exist.
-
-    Raises ResourceError when the selected word stops growing (a degenerate
-    chain of a non-primitive sequence) or would exceed the byte cap, and
+    Deepens sigma_0 o ... o sigma_(K-1) on per-letter lengths until the
+    selected chain's top letter has an image of min_len letters, then builds
+    (chain, words) top-down: words[j] is the image of chain[K] under
+    sigma_j o ... o sigma_(K-1), so words[K] is one letter and words[0] the
+    limit-point prefix.  chain_index picks among the valid chains (modulo
+    their count), so 0 is always safe and distinct indices reach distinct
+    limit points when several exist.  Raises ResourceError when the word
+    stalls (a degenerate chain) or a word would pass the byte cap, and
     DomainError when a finite sequence runs out of levels.
     """
     if min_len < 1:
         raise ValueError("min_len must be positive")
     d = sset.d
-    taus: list[dict[int, bytes]] = [{j: bytes([j]) for j in range(1, d + 1)}]
+    lengths = {j: 1 for j in range(1, d + 1)}
+    chain: tuple[int, ...] = ()
     depth = 0
     best_len = 0
     last_growth = 0
     while True:
-        chains = limit_letter_chains(seq, sset, depth, horizon=horizon)
-        if chains:
-            chain = chains[chain_index % len(chains)]
-            word = taus[depth][chain[depth]]
-            if len(word) > best_len:
-                best_len = len(word)
-                last_growth = depth
-            if len(word) >= min_len:
-                for k in range(depth):
-                    stage = taus[k][chain[k]]
-                    if not word.startswith(stage):
-                        raise AssertionError("chain stages failed to nest")
-                return word[:min_len]
-        if depth - last_growth > stall_limit:
+        if depth >= len(chain):
+            chain = _select_chain(seq, sset, depth, chain_index)
+        top_len = lengths[chain[depth]]
+        if top_len > best_len:
+            best_len = top_len
+            last_growth = depth
+        if top_len >= min_len:
+            break
+        if depth - last_growth > _STALL_LEVELS:
             raise ResourceError(
                 f"limit point prefix stalled at length {best_len} "
                 f"(sequence has no growing chain at index {chain_index})"
@@ -413,12 +427,24 @@ def limit_point_prefix(
                 f"finite directive sequence exhausted at depth {depth} "
                 f"with only {best_len} letters available"
             ) from None
-        prev = taus[depth]
-        nxt = {j: b"".join(prev[c] for c in sub.image(j)) for j in range(1, d + 1)}
-        if max(len(w) for w in nxt.values()) > _PREFIX_BYTE_CAP:
+        lengths = {j: sum(lengths[c] for c in sub.image(j)) for j in range(1, d + 1)}
+        if max(lengths.values()) > _PREFIX_BYTE_CAP:
             raise ResourceError("limit point prefix exceeds the byte budget")
-        taus.append(nxt)
         depth += 1
+    chain = chain[: depth + 1]
+    words = [bytes([chain[depth]])]
+    for j in range(depth - 1, -1, -1):
+        words.append(sset[seq[j]].apply(words[-1]))
+    words.reverse()
+    # apply is a morphism, so first letters matching the chain make the stages nest
+    if any(w[0] != c for w, c in zip(words, chain)):
+        raise AssertionError("chain stages failed to nest")
+    return chain, words
+
+
+def limit_point_prefix(seq: DirectiveSequence, sset: SubstitutionSet, min_len: int, chain_index: int = 0) -> bytes:
+    """First min_len letters of a limit point: limit_tower's words[0], cut."""
+    return limit_tower(seq, sset, min_len, chain_index)[1][0][:min_len]
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +528,3 @@ def balance(word: bytes, k: int, d: int | None = None) -> BalanceReport:
     windows = sums[k:] - sums[:-k]
     per_letter = {i + 1: int(windows[:, i].max() - windows[:, i].min()) for i in range(d)}
     return BalanceReport(k=k, per_letter=per_letter, c=max(per_letter.values()))
-
-
-def letter_frequencies(word: bytes, d: int) -> np.ndarray:
-    """Empirical letter frequencies as a length-d vector."""
-    counts = np.asarray(abelianize(word, d), dtype=float)
-    return counts / max(1, len(word))

@@ -34,6 +34,7 @@ from .core import (
 )
 from .emit import read_points_csv, render_ppm, write_points_csv
 from .fractal import (
+    _MIN_BUDGET,
     compare_constructions,
     continuity_experiment,
     coverage_estimate,
@@ -83,9 +84,25 @@ def _sibling(path: str, ext: str) -> str:
 
 
 def _check_flags(args) -> None:
-    """Reject bad shared flags before any input is read or any cloud built."""
+    """Reject bad flags before any input is read or any cloud built."""
     if getattr(args, "chain", 0) < 0:
         raise ParseError("--chain must be nonnegative")
+    if getattr(args, "budget", None) is not None and args.budget < _MIN_BUDGET:
+        raise ParseError(f"--budget must be at least {_MIN_BUDGET}")
+    if hasattr(args, "len"):
+        if args.len < 1:
+            raise ParseError("--len must be at least 1")
+        if not 1 <= args.k_max <= args.len:
+            raise ParseError("--k-max must lie in 1..--len")
+        if not 0 <= args.factor_len <= args.len // 2:
+            raise ParseError("--factor-len must lie in 0..--len//2")
+    if hasattr(args, "step"):
+        if not 0 < args.step < np.inf:
+            raise ParseError("--step must be positive and finite")
+        if not 0 <= args.radius < np.inf:
+            raise ParseError("--radius must be nonnegative and finite")
+    if getattr(args, "stride", 1) < 1:
+        raise ParseError("--stride must be at least 1")
     if getattr(args, "out", None) and hasattr(args, "width"):
         if args.width < 16 or args.height < 16:
             raise ParseError("width and height must be at least 16")

@@ -13,6 +13,8 @@ import string
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 
 class RauzyError(Exception):
     """Base for errors raised by this package."""
@@ -216,13 +218,15 @@ class IntMatrix:
 class Substitution:
     """A non-erasing morphism of the free monoid on letters 1..d.
 
-    images[j-1] is the image word of letter j.
+    images[j-1] is the image word of letter j; row j of table holds it
+    padded with zeros, and apply() gathers a word's image from those rows.
     """
 
     alphabet: Alphabet
     images: tuple[bytes, ...]
     name: str = ""
     _matrix: IntMatrix = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.alphabet.size
@@ -235,6 +239,11 @@ class Substitution:
         cols = [abelianize(w, d) for w in self.images]
         m = IntMatrix(tuple(zip(*cols)))  # M[i][j] = count of letter i+1 in image of j+1
         object.__setattr__(self, "_matrix", m)
+        table = np.zeros((d + 1, max(map(len, self.images))), dtype=np.uint8)
+        for j, w in enumerate(self.images, start=1):
+            table[j, : len(w)] = list(w)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @property
     def d(self) -> int:
@@ -246,8 +255,12 @@ class Substitution:
         return self.images[letter - 1]
 
     def apply(self, word: bytes) -> bytes:
-        validate_word(word, self.d)
-        return b"".join(self.images[b - 1] for b in word)
+        idx = np.frombuffer(word, dtype=np.uint8)
+        if idx.size and not 1 <= idx.min() <= idx.max() <= self.d:
+            validate_word(word, self.d)  # locate the offending byte for the message
+        # gathering whole rows as fixed-width records beats a 2-D fancy index
+        rows = self.table.view(f"V{self.table.shape[1]}").ravel().take(idx).view(np.uint8)
+        return rows[rows != 0].tobytes()
 
     def incidence_matrix(self) -> IntMatrix:
         """M with M[i][j] = number of occurrences of letter i+1 in the image

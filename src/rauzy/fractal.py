@@ -24,8 +24,8 @@ import numpy as np
 from .adic import (
     DirectiveSequence,
     SubstitutionSet,
-    limit_letter_chains,
     limit_point_prefix,
+    limit_tower,
     splitmix64_array,
 )
 from .core import (
@@ -47,6 +47,7 @@ from .spectral import (
 )
 
 _DEFAULT_BUDGET = 2_000_000
+_MIN_BUDGET = 100
 
 
 def point_budget() -> int:
@@ -58,8 +59,8 @@ def point_budget() -> int:
         value = int(raw)
     except ValueError:
         raise ResourceError(f"RAUZY_POINT_BUDGET must be an integer, got {raw!r}") from None
-    if value < 100:
-        raise ResourceError("RAUZY_POINT_BUDGET must be at least 100")
+    if value < _MIN_BUDGET:
+        raise ResourceError(f"RAUZY_POINT_BUDGET must be at least {_MIN_BUDGET}")
     return value
 
 
@@ -183,39 +184,6 @@ def project_prefixes(
 # telescoping decomposition of limit-point prefixes
 
 
-def _chain_words(seq: DirectiveSequence, sset: SubstitutionSet, min_len: int, chain_index: int):
-    """Deepen until the composed word at the selected chain reaches min_len;
-    return (chain, [w_K, ..., w_0]) where w_j is the level-j word, i.e. the
-    image of the chain's top letter under sigma_j o ... o sigma_(K-1)."""
-    depth = 0
-    best = 0
-    last_growth = 0
-    lengths: list[dict[int, int]] = [{j: 1 for j in range(1, sset.d + 1)}]
-    while True:
-        chains = limit_letter_chains(seq, sset, depth)
-        if chains:
-            chain = chains[chain_index % len(chains)]
-            if lengths[depth][chain[depth]] > best:
-                best = lengths[depth][chain[depth]]
-                last_growth = depth
-            if lengths[depth][chain[depth]] >= min_len:
-                break
-        if depth - last_growth > 48:
-            raise ResourceError(f"limit point stalled at length {best}")
-        try:
-            sub = sset[seq[depth]]
-        except IndexError:
-            raise DomainError("finite directive sequence exhausted") from None
-        prev = lengths[depth]
-        lengths.append({j: sum(prev[c] for c in sub.image(j)) for j in range(1, sset.d + 1)})
-        depth += 1
-    words = [bytes([chain[depth]])]
-    for j in range(depth - 1, -1, -1):
-        words.append(sset[seq[j]].apply(words[-1]))
-    words.reverse()  # words[j] is the level-j word; words[depth] is one letter
-    return chain, words
-
-
 def telescoping_decomposition(
     seq: DirectiveSequence,
     sset: SubstitutionSet,
@@ -233,7 +201,7 @@ def telescoping_decomposition(
     """
     if not word:
         return []
-    chain, words = _chain_words(seq, sset, len(word) + 1, chain_index)
+    _, words = limit_tower(seq, sset, len(word) + 1, chain_index)
     if words[0][: len(word)] != word:
         raise DomainError("word is not a prefix of the selected limit point")
     depth = len(words) - 1
@@ -320,7 +288,7 @@ def verify_all_prefix_identities(
         raise DomainError("count identity needs a shared incidence matrix")
     if length < 1:
         raise ValueError("length must be positive")
-    chain, words = _chain_words(seq, sset, length + 1, chain_index)
+    _, words = limit_tower(seq, sset, length + 1, chain_index)
     depth = len(words) - 1
     d = sset.d
     m = sset.shared_matrix
@@ -335,38 +303,29 @@ def verify_all_prefix_identities(
     if worst >= 1 << 62:
         raise ResourceError("prefix identity check would overflow 64-bit accumulators")
 
-    targets = np.arange(1, length + 1, dtype=np.int64)
     rhs = np.zeros((length, d), dtype=np.int64)
-    pending = targets.copy()
+    pending = np.arange(1, length + 1, dtype=np.int64)
     for j in range(depth):
         if not pending.any():
             break
         sub = sset[seq[j]]
         level_word = np.frombuffer(words[j + 1], dtype=np.uint8)
-        image_lens = np.array([0] + [len(sub.image(c)) for c in range(1, d + 1)], dtype=np.int64)
+        image_lens = np.count_nonzero(sub.table, axis=1)
         cum = np.zeros(len(level_word) + 1, dtype=np.int64)
         np.cumsum(image_lens[level_word], out=cum[1:])
         idx = np.searchsorted(cum, pending, side="right") - 1
         rest = pending - cum[idx]
-        # count vectors of image prefixes: table[letter, r] = l(image(letter)[:r])
-        max_len = int(image_lens.max())
-        table = np.zeros((d + 1, max_len + 1, d), dtype=np.int64)
-        for c in range(1, d + 1):
-            img = sub.image(c)
-            for r in range(1, len(img) + 1):
-                table[c, r] = table[c, r - 1]
-                table[c, r, img[r - 1] - 1] += 1
+        # count vectors of image prefixes: prefix_counts[letter, r] = l(image(letter)[:r])
+        prefix_counts = np.zeros((d + 1, sub.table.shape[1] + 1, d), dtype=np.int64)
+        one_hot = sub.table[:, :, None] == np.arange(1, d + 1, dtype=np.uint8)
+        np.cumsum(one_hot, axis=1, out=prefix_counts[:, 1:])
         src_letters = level_word[idx]
-        part_counts = table[src_letters, rest]
+        part_counts = prefix_counts[src_letters, rest]
         power = np.asarray(m.pow(j).rows, dtype=np.int64)
         rhs += part_counts @ power.T
         # the letter at position t of the level-j word is the pivot of its split
-        pivot_table = np.zeros((d + 1, max_len), dtype=np.uint8)
-        for c in range(1, d + 1):
-            img = sub.image(c)
-            pivot_table[c, : len(img)] = np.frombuffer(img, dtype=np.uint8)
         level_j_word = np.frombuffer(words[j], dtype=np.uint8)
-        if not np.array_equal(pivot_table[src_letters, rest], level_j_word[pending]):
+        if not np.array_equal(sub.table[src_letters, rest], level_j_word[pending]):
             raise AssertionError("split pivots disagree with the level word")
         pending = idx
     if pending.any():

@@ -1,9 +1,10 @@
 """Shared fixtures: substitution files on disk plus parsed sets.
 
 The three-letter pair shares the cubic unimodular Pisot matrix, the
-two-letter pair has mismatched matrices, and the four-letter one is the
-standard primitive unimodular counterexample whose secondary eigenvalues
-leave the unit disk.
+two-letter pair has mismatched matrices, and the four-letter shiftup one is
+the standard primitive unimodular counterexample whose secondary eigenvalues
+leave the unit disk.  The 4-bonacci substitution is unimodular Pisot with
+characteristic polynomial x^4 - x^3 - x^2 - x - 1.
 """
 
 import pytest
@@ -48,6 +49,16 @@ c -> d
 d -> ab
 """
 
+TETRA_TEXT = """\
+alphabet: abcd
+
+[sub tetra]
+a -> ab
+b -> ac
+c -> ad
+d -> a
+"""
+
 DOUBLING_TEXT = """\
 alphabet: ab
 
@@ -64,6 +75,7 @@ def data_dir(tmp_path_factory):
     (d / "sturmian.subs").write_text(STURMIAN_TEXT)
     (d / "quartic.subs").write_text(QUARTIC_TEXT)
     (d / "doubling.subs").write_text(DOUBLING_TEXT)
+    (d / "tetra.subs").write_text(TETRA_TEXT)
     return d
 
 
@@ -105,3 +117,8 @@ def quartic_set(quartic_path):
 @pytest.fixture(scope="session")
 def doubling_set(data_dir):
     return SubstitutionSet(load_substitution_file(str(data_dir / "doubling.subs")))
+
+
+@pytest.fixture(scope="session")
+def tetra_set(data_dir):
+    return SubstitutionSet(load_substitution_file(str(data_dir / "tetra.subs")))

@@ -11,7 +11,6 @@ from rauzy.adic import (
     factor_gap_check,
     first_letter_map,
     is_primitive_sequence,
-    letter_frequencies,
     limit_letter_chains,
     limit_point_prefix,
     parse_sequence_spec,
@@ -272,13 +271,6 @@ def test_balance_domain():
         balance(b"\x01\x02", 0)
     with pytest.raises(DomainError):
         balance(b"\x01\x02", 3)
-
-
-def test_letter_frequencies():
-    freqs = letter_frequencies(b"\x01\x01\x02\x03", 3)
-    assert freqs[0] == pytest.approx(0.5)
-    assert freqs[1] == pytest.approx(0.25)
-    assert freqs.sum() == pytest.approx(1.0)
 
 
 def test_factor_gap_literal():

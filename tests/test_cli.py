@@ -159,6 +159,29 @@ def test_negative_chain_refused(tribo_path):
     assert "sequence:" not in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["balance", "--len", "0"],
+        ["balance", "--len", "50", "--k-max", "80"],
+        ["balance", "--len", "50", "--k-max", "0"],
+        ["balance", "--len", "50", "--factor-len", "40"],
+        ["balance", "--len", "50", "--factor-len", "-1"],
+        ["cover", "--step", "0"],
+        ["cover", "--step", "nan"],
+        ["cover", "--radius", "-1"],
+        ["continuity", "--base", "(1)", "--variant", "(2)", "--stride", "0"],
+        ["fractal", "--budget", "5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_flags_refused_before_output(tribo_path, argv):
+    proc = run_cli(argv[0], "--subs", tribo_path, *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # resource budgets
 

@@ -142,6 +142,13 @@ def test_substitution_apply_oracle():
     assert s.image(3) == b"\x01"
 
 
+def test_substitution_apply_rejects_non_letters():
+    s = tribo()
+    for bad in (0, 4, 255):
+        with pytest.raises(ValueError, match=f"byte {bad} is not a letter in 1..3"):
+            s.apply(bytes([1, 2, bad, 3]))
+
+
 def test_substitution_incidence_matrix():
     assert tribo().incidence_matrix() == TRIBO_M
 

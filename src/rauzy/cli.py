@@ -96,13 +96,22 @@ def _check_flags(args) -> None:
             raise ParseError("--k-max must lie in 1..--len")
         if not 0 <= args.factor_len <= args.len // 2:
             raise ParseError("--factor-len must lie in 0..--len//2")
+    if getattr(args, "points", 1) < 1:
+        raise ParseError("--points must be at least 1")
+    if getattr(args, "depth", 1) < 1:
+        raise ParseError("--depth must be at least 1")
     if hasattr(args, "step"):
         if not 0 < args.step < np.inf:
             raise ParseError("--step must be positive and finite")
         if not 0 <= args.radius < np.inf:
             raise ParseError("--radius must be nonnegative and finite")
-    if getattr(args, "stride", 1) < 1:
-        raise ParseError("--stride must be at least 1")
+        if args.eps is not None and not 0 < args.eps < np.inf:
+            raise ParseError("--eps must be positive and finite")
+    if hasattr(args, "stride"):
+        if args.stride < 1:
+            raise ParseError("--stride must be at least 1")
+        if not 0 <= args.n_min <= args.n_max:
+            raise ParseError("--n-min must lie in 0..--n-max")
     if getattr(args, "out", None) and hasattr(args, "width"):
         if args.width < 16 or args.height < 16:
             raise ParseError("width and height must be at least 16")
@@ -185,8 +194,6 @@ def _print_cloud_summary(approx) -> None:
 
 
 def cmd_fractal(args) -> int:
-    if args.points < 1:
-        raise ParseError("--points must be at least 1")
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     approx = project_prefixes(seq, sset, args.points, chain_index=args.chain, budget=args.budget)
@@ -197,8 +204,6 @@ def cmd_fractal(args) -> int:
 
 
 def cmd_gifs(args) -> int:
-    if args.depth < 1:
-        raise ParseError("--depth must be at least 1")
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     approx = gifs_attractor(seq, sset, args.depth, budget=args.budget)
@@ -209,8 +214,6 @@ def cmd_gifs(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.points < 1 or args.depth < 1:
-        raise ParseError("--points and --depth must be at least 1")
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     report = compare_constructions(
@@ -273,8 +276,6 @@ def cmd_balance(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    if args.points < 1:
-        raise ParseError("--points must be at least 1")
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     sd = sset.spectral()

@@ -676,6 +676,7 @@ class CoverageReport:
     window_radius: float
     grid_step: float
     eps: float
+    mask: np.ndarray = field(repr=False, compare=False)  # covered, in grid order
 
 
 def coverage_estimate(
@@ -691,10 +692,25 @@ def coverage_estimate(
 
     Numerical evidence for the translates tiling the stable space: the
     fraction should approach 1 as the cloud fills in.  A radius of 0 degrades
-    to the single grid point at the origin.
+    to the single grid point at the origin.  `eps` (default `grid_step`) must
+    be positive and finite.
+
+    A grid point is covered when its nearest cloud point under some offset
+    lies within `eps`.  Each k-d query is bounded by `eps * (1 + 1e-12)`, so a
+    miss stops there instead of hunting for a far neighbour: scipy's bound is
+    strict and compares squared distances, and the margin keeps a neighbour
+    at distance exactly `eps` inside it, while the `dist <= eps` test keeps
+    the covered set what an unbounded query gives.  The offsets run
+    centre-first (stable-sorted by norm): the zero offset and its neighbours
+    cover nearly every point, and later offsets query only the points still
+    uncovered.  The mask is an OR over offsets of per-point tests, so the
+    order changes the work, never the mask.
     """
     if window_radius < 0 or grid_step <= 0:
         raise ValueError("window_radius must be nonnegative and grid_step positive")
+    tol = eps if eps is not None else grid_step
+    if not 0 < tol < np.inf:
+        raise ValueError("eps must be positive and finite")
     k = approx.d - 1
     if gamma.generators.shape != (k, k):
         raise ValueError("lattice dimension does not match the approximation")
@@ -711,18 +727,18 @@ def coverage_estimate(
     from scipy.spatial import cKDTree
 
     tree = cKDTree(cloud)
-    tol = eps if eps is not None else grid_step
+    bound = tol * (1 + 1e-12)
     covered = np.zeros(len(grid), dtype=bool)
     coeff_axes = np.meshgrid(*([np.arange(-2, 3)] * k), indexing="ij")
     coeffs = np.column_stack([c.ravel() for c in coeff_axes])
     offsets = coeffs.astype(float) @ gamma.generators
+    offsets = offsets[np.argsort(np.linalg.norm(offsets, axis=1), kind="stable")]
     for off in offsets:
-        todo = ~covered
-        if not todo.any():
+        todo = np.flatnonzero(~covered)
+        if not len(todo):
             break
-        dist, _ = tree.query(grid[todo] - off)
-        hit = dist <= tol
-        covered[np.where(todo)[0][hit]] = True
+        dist, _ = tree.query(grid[todo] - off, distance_upper_bound=bound)
+        covered[todo[dist <= tol]] = True
     return CoverageReport(
         fraction=float(covered.mean()),
         covered=int(covered.sum()),
@@ -730,4 +746,5 @@ def coverage_estimate(
         window_radius=window_radius,
         grid_step=grid_step,
         eps=tol,
+        mask=covered,
     )

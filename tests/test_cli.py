@@ -170,7 +170,15 @@ def test_negative_chain_refused(tribo_path):
         ["cover", "--step", "0"],
         ["cover", "--step", "nan"],
         ["cover", "--radius", "-1"],
+        ["cover", "--eps", "0"],
+        ["cover", "--eps", "-1"],
+        ["cover", "--eps", "nan"],
+        ["cover", "--eps", "inf"],
+        ["cover", "--points", "0"],
         ["continuity", "--base", "(1)", "--variant", "(2)", "--stride", "0"],
+        ["continuity", "--base", "(1)", "--variant", "(2)", "--points", "0"],
+        ["continuity", "--base", "(1)", "--variant", "(2)", "--n-min", "-1"],
+        ["continuity", "--base", "(1)", "--variant", "(2)", "--n-min", "5", "--n-max", "2"],
         ["fractal", "--budget", "5"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -344,3 +352,13 @@ def test_continuity_smoke(tribo_path):
     assert proc.returncode == 0
     assert proc.stdout.count("agree ") == 3
     assert "lambda:" in proc.stdout
+
+
+def test_continuity_accepts_n_min_zero(tribo_path):
+    # cut 0 measures the variant's fractal against the base's
+    proc = run_cli(
+        "continuity", "--subs", tribo_path, "--base", "(1)", "--variant", "(2)",
+        "--n-min", "0", "--n-max", "1", "--points", "2000",
+    )
+    assert proc.returncode == 0
+    assert "agree   0: hausdorff" in proc.stdout

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from rauzy.adic import DirectiveSequence, limit_point_prefix
-from rauzy.core import DomainError, ResourceError, abelianize
+from rauzy.adic import DirectiveSequence, SubstitutionSet, limit_point_prefix
+from rauzy.core import DomainError, ResourceError, Substitution, abelianize
 from rauzy.fractal import (
     RauzyApprox,
     build_gifs_edges,
@@ -444,6 +444,9 @@ def test_coverage_validation(tribo_set, tribo_sd):
         coverage_estimate(approx, gamma, -1.0, 0.1)
     with pytest.raises(ValueError):
         coverage_estimate(approx, gamma, 1.0, 0.0)
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            coverage_estimate(approx, gamma, 1.0, 0.1, eps=eps)
     with pytest.raises(ResourceError):
         coverage_estimate(approx, gamma, 2.0, 0.001)
     bad = GammaLattice(generators=np.eye(3), det=1.0)
@@ -454,6 +457,90 @@ def test_coverage_validation(tribo_set, tribo_sd):
     )
     with pytest.raises(DomainError):
         coverage_estimate(empty, gamma, 0.5, 0.1)
+
+
+def _coverage_grid_and_offsets(gamma, radius, step):
+    k = gamma.generators.shape[0]
+    axes = [np.linspace(-radius, radius, int(np.floor(2 * radius / step)) + 1)] * k
+    grid = gamma.reduce(np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")]))
+    coeffs = np.column_stack([c.ravel() for c in np.meshgrid(*([np.arange(-2, 3)] * k), indexing="ij")])
+    return grid, coeffs.astype(float) @ gamma.generators
+
+
+def _natural_order_coverage(approx, gamma, radius, step, eps):
+    """Coverage as an unbounded query over every lattice offset in natural
+    order, querying only the points still uncovered.  Returns the covered
+    mask and the number of points queried."""
+    from scipy.spatial import cKDTree
+
+    grid, offsets = _coverage_grid_and_offsets(gamma, radius, step)
+    tree = cKDTree(approx.union())
+    covered = np.zeros(len(grid), dtype=bool)
+    queried = 0
+    for off in offsets:
+        todo = np.flatnonzero(~covered)
+        queried += len(todo)
+        dist, _ = tree.query(grid[todo] - off)
+        covered[todo[dist <= eps]] = True
+    return covered, queried
+
+
+def _permuted_family(seed_sub, seed):
+    # permuting the letters inside each image keeps the incidence matrix
+    rng = random.Random(seed)
+    subs = [seed_sub] + [
+        Substitution(
+            seed_sub.alphabet,
+            tuple(bytes(rng.sample(list(w), len(w))) for w in seed_sub.images),
+            name=f"p{i}",
+        )
+        for i in range(2)
+    ]
+    return SubstitutionSet(subs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("which, radius, step", [("tribo", 0.5, 0.02), ("tetra", 0.3, 0.1)])
+def test_coverage_mask_equals_natural_order_reference(which, radius, step, seed, tribo_set, tetra_set):
+    from scipy.spatial import cKDTree
+
+    sset = _permuted_family({"tribo": tribo_set, "tetra": tetra_set}[which][0], seed)
+    gamma = gamma_generators(sset.spectral())
+    approx = project_prefixes(DirectiveSequence.random(seed, len(sset)), sset, 10_000)
+    # each grid point's distance to the nearest lattice translate of the
+    # cloud; eps set to one of these is attained exactly
+    grid, offsets = _coverage_grid_and_offsets(gamma, radius, step)
+    tree = cKDTree(approx.union())
+    best = np.sort(np.min([tree.query(grid - off)[0] for off in offsets], axis=0))
+    partial = [best[len(best) // 8], best[len(best) // 3]]
+    for eps in [*partial, step]:
+        want, _ = _natural_order_coverage(approx, gamma, radius, step, eps)
+        rep = coverage_estimate(approx, gamma, radius, step, eps=eps)
+        assert rep.eps == eps
+        assert rep.covered == int(want.sum())
+        assert np.array_equal(rep.mask, want)
+        if eps in partial:
+            assert 0 < rep.covered < rep.total
+
+
+def test_coverage_queries_are_bounded_and_centre_first(tribo_set, tribo_sd, monkeypatch):
+    import scipy.spatial
+
+    calls = []
+
+    class CountingKDTree(scipy.spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            calls.append((len(x), kwargs.get("distance_upper_bound", np.inf)))
+            return super().query(x, *args, **kwargs)
+
+    approx = project_prefixes(CONST_1, tribo_set, 20_000)
+    gamma = gamma_generators(tribo_sd)
+    want, natural = _natural_order_coverage(approx, gamma, 1.0, 0.05, 0.05)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    rep = coverage_estimate(approx, gamma, 1.0, 0.05)
+    assert np.array_equal(rep.mask, want)
+    assert calls and all(np.isfinite(bound) for _, bound in calls)
+    assert sum(n for n, _ in calls) < natural
 
 
 def test_adapted_frame_consistency(tribo_sd):

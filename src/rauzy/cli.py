@@ -32,7 +32,7 @@ from .core import (
     load_substitution_file,
     primitivity_exponent,
 )
-from .emit import read_points_csv, render_ppm, write_points_csv
+from .emit import MAX_PIXELS, read_points_csv, render_ppm, write_points_csv
 from .fractal import (
     _MIN_BUDGET,
     compare_constructions,
@@ -84,7 +84,8 @@ def _sibling(path: str, ext: str) -> str:
 
 
 def _check_flags(args) -> None:
-    """Reject bad flags before any input is read or any cloud built."""
+    """Reject bad flags before any input is read or any cloud built: exit 2,
+    or exit 4 for an image over the pixel cap."""
     if getattr(args, "chain", 0) < 0:
         raise ParseError("--chain must be nonnegative")
     if getattr(args, "budget", None) is not None and args.budget < _MIN_BUDGET:
@@ -107,6 +108,8 @@ def _check_flags(args) -> None:
             raise ParseError("--radius must be nonnegative and finite")
         if args.eps is not None and not 0 < args.eps < np.inf:
             raise ParseError("--eps must be positive and finite")
+    if getattr(args, "tol", None) is not None and not 0 <= args.tol < np.inf:
+        raise ParseError("--tol must be nonnegative and finite")
     if hasattr(args, "stride"):
         if args.stride < 1:
             raise ParseError("--stride must be at least 1")
@@ -117,6 +120,9 @@ def _check_flags(args) -> None:
             raise ParseError("width and height must be at least 16")
         if not 0 <= args.margin < 0.5:
             raise ParseError("margin must lie in [0, 0.5)")
+        if args.width * args.height > MAX_PIXELS:
+            size = f"{args.width}x{args.height}"
+            raise ResourceError(f"a {size} image exceeds the cap of {MAX_PIXELS} pixels")
 
 
 def _write_outputs(args, approx) -> None:

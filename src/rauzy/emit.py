@@ -25,6 +25,9 @@ _GOLDEN_ANGLE = 137.50776405003785
 _CHUNK_ROWS = 65_536
 # printable ASCII except the space, and the newline
 _PLAIN_BYTES = bytes(range(33, 127)) + b"\n"
+# largest image the CLI renders: a 4096x4096 raster is 48 MiB, and the PPM
+# bytes are built beside it
+MAX_PIXELS = 4096 * 4096
 
 
 def default_colors(d: int) -> list[tuple[int, int, int]]:

@@ -10,8 +10,9 @@ shifted sequence plus the projected prefix count.  Both produce a dict of
 point clouds per letter, and their Hausdorff distance in the adapted norm is
 the headline consistency number.
 
-scipy.spatial is imported inside the functions that build k-d trees, so the
-commands that never build one start without loading scipy.
+scipy.spatial is imported by `_kdtree`, the one builder of k-d trees, at the
+first build, so the commands that never build one start without loading
+scipy.
 """
 
 from __future__ import annotations
@@ -64,6 +65,23 @@ def point_budget() -> int:
     return value
 
 
+def _kdtree(points: np.ndarray):
+    """Every k-d tree of this module: a scipy cKDTree over the rows.
+
+    The tree is built without median splits (balanced_tree=False) and without
+    shrinking each node's box to its points (compact_nodes=False), which
+    builds it in less time.  Neither choice changes a result: a
+    nearest-neighbour query returns the nearest distance whatever the tree's
+    shape, and callers read distances, or pick among tied neighbours by a
+    rule of their own.  scipy.spatial is imported at the first build, and
+    cKDTree is looked up on it at every call, so a subclass put in its place
+    (to count or trace the trees) sees each build and query.
+    """
+    import scipy.spatial
+
+    return scipy.spatial.cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
 # ---------------------------------------------------------------------------
 # stepped lines and projection
 
@@ -82,11 +100,10 @@ def stepped_line(word: bytes, d: int) -> SteppedLine:
     arr = np.frombuffer(word, dtype=np.uint8)
     if arr.size and (arr.min() < 1 or arr.max() > d):
         raise ValueError("word contains letters outside 1..d")
+    # one 1 per row of verts[1:], summed in place: no (n, d) temporary
     verts = np.zeros((len(word) + 1, d), dtype=np.int64)
-    one_hot = np.zeros((len(word), d), dtype=np.int64)
-    if len(word):
-        one_hot[np.arange(len(word)), arr - 1] = 1
-    np.cumsum(one_hot, axis=0, out=verts[1:])
+    verts[np.arange(1, len(word) + 1), arr - 1] = 1
+    np.cumsum(verts, axis=0, out=verts)
     return SteppedLine(vertices=verts, letters=arr)
 
 
@@ -278,11 +295,20 @@ def verify_all_prefix_identities(
     """Check l(prefix_t) == sum_j M^j l(P_j(t)) for every t = 1..length at
     once, in exact integer arithmetic.
 
-    Works level by level: at level j every pending target length t_j is
-    located inside the image of the level-(j+1) word by a cumulative-length
-    search, contributing the count vector of a proper image prefix; the
-    leftover index recurses upward.  All gathers are vectorized; a bound
-    computed in exact arithmetic guards the int64 accumulators.
+    The sum is evaluated in Horner form over the level positions rather
+    than per target.  Position t of the level-j word lies in the image of
+    letter idx_j(t) of the level-(j+1) word, at offset r, so P_j(t) is the
+    first r letters of that image and
+    R_j[t] = l(P_j(t)) + M R_(j+1)[idx_j(t)]  for t = 0..N_j,
+    with N_0 = length and N_(j+1) = idx_j(N_j); then R_0[t] is the whole
+    sum for prefix t.  A forward pass records idx_j and l(P_j) for every
+    position, checking that the letter after P_j in its image (the pivot)
+    is the letter the level word holds there; a backward pass folds the
+    levels in.  The positions shrink by the growth factor per level, so
+    the work is about 2 * length gathers where carrying every target
+    through every level took levels * length.  Every partial sum has
+    nonnegative terms and is at most the full sum, so one bound computed
+    in exact arithmetic guards the int64 accumulators.
     """
     if sset.shared_matrix is None:
         raise DomainError("count identity needs a shared incidence matrix")
@@ -303,36 +329,41 @@ def verify_all_prefix_identities(
     if worst >= 1 << 62:
         raise ResourceError("prefix identity check would overflow 64-bit accumulators")
 
-    rhs = np.zeros((length, d), dtype=np.int64)
-    pending = np.arange(1, length + 1, dtype=np.int64)
+    levels = []  # per level: (idx_j, count vectors l(P_j(t))), t = 0..N_j
+    top = length  # N_j
     for j in range(depth):
-        if not pending.any():
+        if top == 0:
             break
         sub = sset[seq[j]]
         level_word = np.frombuffer(words[j + 1], dtype=np.uint8)
         image_lens = np.count_nonzero(sub.table, axis=1)
-        cum = np.zeros(len(level_word) + 1, dtype=np.int64)
-        np.cumsum(image_lens[level_word], out=cum[1:])
-        idx = np.searchsorted(cum, pending, side="right") - 1
-        rest = pending - cum[idx]
-        # count vectors of image prefixes: prefix_counts[letter, r] = l(image(letter)[:r])
+        # letters of the level-(j+1) word whose images cover positions 0..N_j
+        # (each image has a letter, so the first N_j + 1 letters are enough)
+        cum = np.cumsum(image_lens[level_word[: top + 1]])
+        used = int(np.searchsorted(cum, top, side="right")) + 1
+        images = sub.table[level_word[:used]]
+        idx, rest = np.nonzero(images)
+        idx, rest = idx[: top + 1], rest[: top + 1]
+        # the letter at position t of the level-j word is the pivot of its split
+        if not np.array_equal(images[idx, rest], np.frombuffer(words[j], dtype=np.uint8)[: top + 1]):
+            raise AssertionError("split pivots disagree with the level word")
+        # prefix_counts[letter, r] = l(image(letter)[:r])
         prefix_counts = np.zeros((d + 1, sub.table.shape[1] + 1, d), dtype=np.int64)
         one_hot = sub.table[:, :, None] == np.arange(1, d + 1, dtype=np.uint8)
         np.cumsum(one_hot, axis=1, out=prefix_counts[:, 1:])
-        src_letters = level_word[idx]
-        part_counts = prefix_counts[src_letters, rest]
-        power = np.asarray(m.pow(j).rows, dtype=np.int64)
-        rhs += part_counts @ power.T
-        # the letter at position t of the level-j word is the pivot of its split
-        level_j_word = np.frombuffer(words[j], dtype=np.uint8)
-        if not np.array_equal(sub.table[src_letters, rest], level_j_word[pending]):
-            raise AssertionError("split pivots disagree with the level word")
-        pending = idx
-    if pending.any():
+        levels.append((idx, prefix_counts[level_word[idx], rest]))
+        top = int(idx[-1])
+    if top:
         raise AssertionError("prefix peel did not terminate within the deepened levels")
+    mt = np.asarray(m.rows, dtype=np.int64).T
+    rhs = np.zeros((1, d), dtype=np.int64)  # R_J[0] = 0 once N_J = 0
+    for idx, part_counts in reversed(levels):
+        part_counts += (rhs @ mt)[idx]
+        rhs = part_counts
     line = stepped_line(words[0][:length], d)
-    lhs = line.vertices[1:]
-    return PrefixIdentityReport(checked=length, levels=depth, all_exact=bool(np.array_equal(lhs, rhs)))
+    return PrefixIdentityReport(
+        checked=length, levels=depth, all_exact=bool(np.array_equal(line.vertices, rhs))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +467,7 @@ def gifs_attractor(
                     continue
                 kept, removed = _thin(pts, keep, key_seed=(level << 8) | i)
                 if len(removed):
-                    from scipy.spatial import cKDTree
-
-                    tree = cKDTree(to_adapted(sd, kept))
+                    tree = _kdtree(to_adapted(sd, kept))
                     loss = float(tree.query(to_adapted(sd, removed))[0].max())
                     thinning_loss += loss * sd.lam**level  # later levels shrink it
                 approx.points[i] = kept
@@ -481,7 +510,14 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
 
     The trees only pick the neighbor indices; the distances themselves are
     recomputed with the plain sqrt-of-squares formula, so the result agrees
-    bit for bit with a brute-force evaluation over the same pairs.
+    bit for bit with a brute-force evaluation over the same pairs.  Each set
+    is queried in the leaf order of its own tree, so consecutive queries
+    visit the same few leaves of the other tree, and the neighbor indices are
+    scattered back to row order.  A query's nearest distance depends on
+    neither the order of the queries nor the tree's shape; where several
+    points tie for nearest, the near witness is the lowest row among those
+    at the witness distance, so the witnesses and the direction are a
+    function of the two arrays alone.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -489,17 +525,34 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise ValueError("expected two (n, k) point arrays with matching k")
     if len(a) == 0 or len(b) == 0:
         raise DomainError("Hausdorff distance of an empty set is undefined")
-    from scipy.spatial import cKDTree
-
-    idx_ab = cKDTree(b).query(a)[1]
-    idx_ba = cKDTree(a).query(b)[1]
-    d_ab = np.sqrt(np.sum((a - b[idx_ab]) ** 2, axis=1))
-    d_ba = np.sqrt(np.sum((b - a[idx_ba]) ** 2, axis=1))
+    tree_a, tree_b = _kdtree(a), _kdtree(b)
+    idx_ab = np.empty(len(a), dtype=np.intp)
+    idx_ab[tree_a.indices] = tree_b.query(a[tree_a.indices])[1]
+    idx_ba = np.empty(len(b), dtype=np.intp)
+    idx_ba[tree_b.indices] = tree_a.query(b[tree_b.indices])[1]
+    d_ab = _distances(a, b[idx_ab])
+    d_ba = _distances(b, a[idx_ba])
     i = int(np.argmax(d_ab))
     j = int(np.argmax(d_ba))
     if d_ab[i] >= d_ba[j]:
-        return HausdorffResult(float(d_ab[i]), a[i].copy(), b[idx_ab[i]].copy(), "a_to_b")
-    return HausdorffResult(float(d_ba[j]), a[idx_ba[j]].copy(), b[j].copy(), "b_to_a")
+        near = _lowest_nearest(tree_b, b, a[i], d_ab[i])
+        return HausdorffResult(float(d_ab[i]), a[i].copy(), near, "a_to_b")
+    near = _lowest_nearest(tree_a, a, b[j], d_ba[j])
+    return HausdorffResult(float(d_ba[j]), near, b[j].copy(), "b_to_a")
+
+
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distances, p and q broadcast against each other."""
+    return np.sqrt(np.sum((p - q) ** 2, axis=1))
+
+
+def _lowest_nearest(tree, pts: np.ndarray, x: np.ndarray, dist: float) -> np.ndarray:
+    """The lowest row of pts at distance dist from x, dist being x's nearest
+    distance by the plain formula.  The ball query returns every row the
+    tree puts within a hair of dist (its arithmetic may differ in the last
+    bit), the plain formula then picks among them."""
+    rows = np.sort(np.asarray(tree.query_ball_point(x, dist * (1 + 1e-12)), dtype=np.intp))
+    return pts[rows[np.flatnonzero(_distances(x, pts[rows]) == dist)[0]]].copy()
 
 
 def subtile_hausdorff(sd: SpectralData, a: RauzyApprox, b: RauzyApprox) -> dict[int, HausdorffResult]:
@@ -655,9 +708,7 @@ def _resolution_estimate(sd: SpectralData, approx: RauzyApprox) -> float:
     if len(pts) < 2:
         return 0.0
     sample = pts if len(pts) <= 20_000 else pts[:: len(pts) // 20_000 + 1]
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(pts).query(sample, k=2)
+    dist, _ = _kdtree(pts).query(sample, k=2)
     return float(np.median(dist[:, 1]))
 
 
@@ -724,9 +775,7 @@ def coverage_estimate(
     cloud = approx.union()
     if len(cloud) == 0:
         raise DomainError("empty approximation")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(cloud)
+    tree = _kdtree(cloud)
     bound = tol * (1 + 1e-12)
     covered = np.zeros(len(grid), dtype=bool)
     coeff_axes = np.meshgrid(*([np.arange(-2, 3)] * k), indexing="ij")

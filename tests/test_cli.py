@@ -180,6 +180,9 @@ def test_negative_chain_refused(tribo_path):
         ["continuity", "--base", "(1)", "--variant", "(2)", "--n-min", "-1"],
         ["continuity", "--base", "(1)", "--variant", "(2)", "--n-min", "5", "--n-max", "2"],
         ["fractal", "--budget", "5"],
+        ["compare", "--tol", "nan"],
+        ["compare", "--tol", "-1"],
+        ["compare", "--tol", "inf"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -192,6 +195,43 @@ def test_bad_flags_refused_before_output(tribo_path, argv):
 
 # ---------------------------------------------------------------------------
 # resource budgets
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fractal", "--points", "100", "--format", "ppm"],
+        ["gifs", "--depth", "4", "--format", "ppm"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_image_over_pixel_cap_refused_before_compute(tribo_path, tmp_path, argv):
+    # one row over 4096x4096: small enough to allocate were the cap missing
+    out = tmp_path / "x.ppm"
+    proc = run_cli(*argv, "--subs", tribo_path, "--out", str(out), "--width", "4096", "--height", "4097")
+    assert proc.returncode == 4
+    assert "exceeds the cap of 16777216 pixels" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_render_over_pixel_cap_refused_before_reading(tmp_path):
+    # the input does not exist: reading it first would be exit 2
+    missing, out = tmp_path / "missing.csv", tmp_path / "x.ppm"
+    proc = run_cli("render", "--in", str(missing), "--out", str(out), "--width", "4097", "--height", "4096")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_image_at_pixel_cap_is_rendered(tribo_path, tmp_path):
+    out = tmp_path / "x.ppm"
+    proc = run_cli(
+        "fractal", "--subs", tribo_path, "--points", "100", "--format", "ppm",
+        "--out", str(out), "--width", "16", "--height", str(4096 * 256),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_size == len(b"P6\n16 1048576\n255\n") + 3 * 4096 * 4096
 
 
 def test_budget_flag(tribo_path):

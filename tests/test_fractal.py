@@ -68,6 +68,21 @@ def test_stepped_line_vertices_are_prefix_counts():
         assert tuple(line.vertices[t]) == abelianize(word[:t], 3)
 
 
+@pytest.mark.parametrize("d, n", [(2, 0), (2, 1), (3, 5000), (4, 777), (7, 3000)])
+def test_stepped_line_bit_equal_to_one_hot_reference(d, n):
+    word = np.random.default_rng(d * 1000 + n).integers(1, d + 1, size=n, dtype=np.uint8).tobytes()
+    # the reference: a one-hot row per letter, summed into a second array
+    one_hot = np.zeros((n, d), dtype=np.int64)
+    one_hot[np.arange(n), np.frombuffer(word, dtype=np.uint8) - 1] = 1
+    want = np.zeros((n + 1, d), dtype=np.int64)
+    np.cumsum(one_hot, axis=0, out=want[1:])
+    line = stepped_line(word, d)
+    assert line.vertices.dtype == want.dtype
+    assert line.vertices.shape == want.shape
+    assert np.array_equal(line.vertices, want)
+    assert line.letters.tobytes() == word
+
+
 def test_project_word_splits_by_following_letter(tribo_sd):
     approx = project_word(tribo_sd, b"\x01\x02\x01\x03")
     assert approx.source == "projection"
@@ -550,3 +565,121 @@ def test_adapted_frame_consistency(tribo_sd):
     norms = np.linalg.norm(to_adapted(tribo_sd, pts), axis=1)
     direct = np.array([adapted_norm(tribo_sd, p) for p in pts])
     assert np.allclose(norms, direct, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the k-d tree builder: tree shape and query order change no result
+
+
+def _reference_hausdorff(a, b):
+    """Balanced trees queried in natural row order; the near witness is the
+    lowest row at the smallest distance from the far one."""
+    from scipy.spatial import cKDTree
+
+    idx_ab = cKDTree(b).query(a)[1]
+    idx_ba = cKDTree(a).query(b)[1]
+    d_ab = np.sqrt(np.sum((a - b[idx_ab]) ** 2, axis=1))
+    d_ba = np.sqrt(np.sum((b - a[idx_ba]) ** 2, axis=1))
+    i, j = int(np.argmax(d_ab)), int(np.argmax(d_ba))
+    if d_ab[i] >= d_ba[j]:
+        near = b[np.argmin(np.sqrt(np.sum((b - a[i]) ** 2, axis=1)))]
+        return float(d_ab[i]), a[i], near, "a_to_b"
+    near = a[np.argmin(np.sqrt(np.sum((a - b[j]) ** 2, axis=1)))]
+    return float(d_ba[j]), near, b[j], "b_to_a"
+
+
+def _assert_reference_hausdorff(a, b):
+    res = hausdorff(a, b)
+    dist, point_a, point_b, direction = _reference_hausdorff(a, b)
+    assert res.distance == dist
+    assert res.direction == direction
+    assert res.point_a.tobytes() == point_a.tobytes()
+    assert res.point_b.tobytes() == point_b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("which, depth", [("tribo", 12), ("tetra", 10)])
+def test_hausdorff_equals_balanced_natural_order_reference(which, depth, seed, tribo_set, tetra_set):
+    sset = _permuted_family({"tribo": tribo_set, "tetra": tetra_set}[which][0], seed)
+    sd = sset.spectral()
+    seq = DirectiveSequence.random(seed, len(sset))
+    proj = project_prefixes(seq, sset, 20_000)
+    gifs = gifs_attractor(seq, sset, depth)
+    for i in range(1, sset.d + 1):
+        a, b = to_adapted(sd, proj.points[i]), to_adapted(sd, gifs.points[i])
+        _assert_reference_hausdorff(a, b)
+        _assert_reference_hausdorff(b, a)
+
+
+def test_hausdorff_duplicates_and_ties_follow_the_reference():
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(5)
+    ties_broken_otherwise = 0
+    for _ in range(60):
+        k = int(rng.integers(1, 4))
+        # small integer grids with repeated rows, queried from half-integer
+        # points: many points lie at exactly equal distances
+        a = rng.integers(-3, 4, size=(int(rng.integers(1, 80)), k)).astype(float)
+        b = rng.integers(-6, 7, size=(int(rng.integers(1, 80)), k)) + rng.choice([0.0, 0.5], size=(1, k))
+        a = np.vstack([a, a[::3]])
+        _assert_reference_hausdorff(a, b)
+        _assert_reference_hausdorff(b, a)
+        ref = _reference_hausdorff(b, a)
+        if ref[3] == "a_to_b":
+            # the balanced tree's own pick among the tied nearest rows
+            pick = a[cKDTree(a).query(ref[1])[1]]
+            ties_broken_otherwise += pick.tobytes() != ref[2].tobytes()
+    assert ties_broken_otherwise > 0
+
+
+def test_gifs_thinning_equals_balanced_tree_reference(tribo_set, tetra_set, monkeypatch):
+    from scipy.spatial import cKDTree
+
+    from rauzy import fractal
+
+    cases = [(tribo_set, 12, 300), (_permuted_family(tetra_set[0], 3), 10, 400)]
+    got = [gifs_attractor(DirectiveSequence.random(4, len(s)), s, depth, budget=cap) for s, depth, cap in cases]
+    monkeypatch.setattr(fractal, "_kdtree", cKDTree)
+    for (sset, depth, cap), res in zip(cases, got):
+        want = gifs_attractor(DirectiveSequence.random(4, len(sset)), sset, depth, budget=cap)
+        assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
+        assert res.meta["thinning_loss"] == want.meta["thinning_loss"]
+        assert res.meta["error_bound"] == want.meta["error_bound"]
+        for i in res.points:
+            assert res.points[i].tobytes() == want.points[i].tobytes()
+
+
+def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, monkeypatch):
+    import sys
+
+    import scipy.spatial
+
+    from rauzy import fractal
+
+    builds = []
+
+    class CountingKDTree(scipy.spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append((sys._getframe(1).f_code.co_name, args, kwargs))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    calls = {
+        "gifs_attractor": lambda: gifs_attractor(CONST_1, tribo_set, 10, budget=500),
+        "hausdorff": lambda: hausdorff(np.zeros((3, 2)), np.ones((4, 2))),
+        "_resolution_estimate": lambda: fractal._resolution_estimate(
+            tribo_sd, project_prefixes(CONST_1, tribo_set, 1000)
+        ),
+        "coverage_estimate": lambda: coverage_estimate(
+            project_prefixes(CONST_1, tribo_set, 1000), gamma_generators(tribo_sd), 0.2, 0.1
+        ),
+    }
+    for name, call in calls.items():
+        before = len(builds)
+        call()
+        assert len(builds) > before, name
+    assert all(
+        caller == "_kdtree" and not args and kwargs == {"balanced_tree": False, "compact_nodes": False}
+        for caller, args, kwargs in builds
+    )

@@ -21,6 +21,7 @@ from rauzy.adic import (
     limit_tower,
     parse_sequence_spec,
 )
+from rauzy import fractal
 from rauzy.core import Alphabet, DomainError, ResourceError, Substitution, abelianize
 from rauzy.fractal import (
     telescoped_counts,
@@ -91,15 +92,18 @@ def test_tower_levels_on_generated_families(which, tribo_set, tetra_set, data):
 @given(data=st.data())
 def test_identity_sweep_agrees_with_peel_on_generated_families(which, tribo_set, tetra_set, data):
     sset, seq, chain_index = _draw_case(data, which, tribo_set, tetra_set)
-    length = data.draw(st.integers(1, 3000), label="length")
+    # short prefixes, and long ones whose peel spans at least 10 levels
+    length = data.draw(st.integers(1, 3000) | st.integers(5000, 40_000), label="length")
     rep = verify_all_prefix_identities(seq, sset, length, chain_index)
     assert rep.all_exact
     assert rep.checked == length
     word = limit_point_prefix(seq, sset, length, chain_index)
-    ts = data.draw(st.lists(st.integers(1, length), min_size=1, max_size=5), label="t")
-    for t in ts:
+    ts = data.draw(st.lists(st.integers(1, length), min_size=1, max_size=3), label="t")
+    for t in [*ts, length]:
         parts = telescoping_decomposition(seq, sset, word[:t], chain_index)
         assert telescoped_counts(sset, parts) == abelianize(word[:t], sset.d)
+    if length >= 5000:
+        assert len(parts) >= 10
 
 
 def test_short_and_long_prefixes_read_one_limit_point():
@@ -148,3 +152,37 @@ def test_telescoping_finite_sequence_exhausts(tribo_set):
 def test_tower_rejects_nonpositive_length(tribo_set):
     with pytest.raises(ValueError):
         limit_tower(CONST_1, tribo_set, 0)
+
+
+# ---------------------------------------------------------------------------
+# the sweep still fails when the words disagree
+
+
+def test_identity_sweep_reports_a_perturbed_vertex(tribo_set, monkeypatch):
+    real = fractal.stepped_line
+
+    def perturbed(word, d):
+        line = real(word, d)
+        line.vertices[len(word) // 3, 1] += 1
+        return line
+
+    assert verify_all_prefix_identities(CONST_1, tribo_set, 5000).all_exact
+    monkeypatch.setattr(fractal, "stepped_line", perturbed)
+    rep = verify_all_prefix_identities(CONST_1, tribo_set, 5000)
+    assert not rep.all_exact
+    assert rep.checked == 5000
+
+
+@pytest.mark.parametrize("level, pos", [(0, 4000), (0, 1), (1, 7), (6, 2)])
+def test_identity_sweep_catches_a_corrupted_level_word(tribo_set, monkeypatch, level, pos):
+    real = fractal.limit_tower
+
+    def corrupted(*args):
+        chain, words = real(*args)
+        word = bytearray(words[level])
+        word[pos] = 1 + word[pos] % 3
+        return chain, [*words[:level], bytes(word), *words[level + 1 :]]
+
+    monkeypatch.setattr(fractal, "limit_tower", corrupted)
+    with pytest.raises(AssertionError, match="split pivots disagree"):
+        verify_all_prefix_identities(DirectiveSequence.random(3, 2), tribo_set, 5000)

@@ -135,9 +135,7 @@ def _write_outputs(args, approx) -> None:
         print(f"wrote {path}")
     if fmt in ("ppm", "both"):
         path = args.out if fmt == "ppm" else _sibling(args.out, ".ppm")
-        data = render_ppm(approx, args.width, args.height, margin=args.margin)
-        with open(path, "wb") as f:
-            f.write(data)
+        render_ppm(approx, args.width, args.height, margin=args.margin, path=path)
         print(f"wrote {path}")
 
 
@@ -301,9 +299,7 @@ def cmd_render(args) -> int:
         approx = read_points_csv(args.infile)
     except OSError as e:
         raise ParseError(f"cannot read {args.infile}: {e.strerror or e}") from None
-    data = render_ppm(approx, args.width, args.height, margin=args.margin)
-    with open(args.out, "wb") as f:
-        f.write(data)
+    render_ppm(approx, args.width, args.height, margin=args.margin, path=args.out)
     print(f"wrote {args.out} ({args.width}x{args.height}, {approx.total()} points)")
     return 0
 

@@ -25,8 +25,7 @@ _GOLDEN_ANGLE = 137.50776405003785
 _CHUNK_ROWS = 65_536
 # printable ASCII except the space, and the newline
 _PLAIN_BYTES = bytes(range(33, 127)) + b"\n"
-# largest image the CLI renders: a 4096x4096 raster is 48 MiB, and the PPM
-# bytes are built beside it
+# largest image the CLI renders: a 4096x4096 raster is 48 MiB
 MAX_PIXELS = 4096 * 4096
 
 
@@ -144,7 +143,8 @@ def render_ppm(
     colors: list[tuple[int, int, int]] | None = None,
     margin: float = 0.05,
     background: tuple[int, int, int] = (255, 255, 255),
-) -> bytes:
+    path: str | None = None,
+) -> bytes | None:
     """Rasterize the cloud to a binary PPM.
 
     The point bounding box is fitted to the image with a fractional margin
@@ -152,6 +152,10 @@ def render_ppm(
     the image center.  Only the first two stable coordinates are drawn; a
     one-dimensional cloud sits on the horizontal midline.  Letters paint in
     ascending order, so later letters win overlapping pixels.
+
+    Returns the PPM bytes, or with `path` writes them to that file and
+    returns None.  The file gets the header and then the raster's own
+    buffer, so no copy of the image is made beside the raster.
     """
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be positive")
@@ -182,4 +186,9 @@ def render_ppm(
         rows = np.clip(((pts[:, 1] - lo[1]) / span[1] * height).astype(int), 0, height - 1)
         raster[height - 1 - rows, cols] = palette[letter - 1]
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return header + raster.tobytes()
+    if path is None:
+        return header + raster.tobytes()
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(raster.data)
+    return None

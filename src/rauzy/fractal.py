@@ -419,6 +419,15 @@ def _thin(points: np.ndarray, keep: int, key_seed: int) -> tuple[np.ndarray, np.
     return points[mask], points[~mask]
 
 
+def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> float:
+    """Largest adapted distance from a removed point to its nearest kept
+    point, as the k-d tree measures it.  The tree and the adapted copies
+    are freed on return, before the next level is stepped."""
+    target = to_adapted(sd, kept)
+    ((loss, _),) = _farthest([(to_adapted(sd, removed), None, _kdtree(target), target)], plain=False)
+    return float(loss)
+
+
 def gifs_attractor(
     seq: DirectiveSequence,
     sset: SubstitutionSet,
@@ -433,6 +442,15 @@ def gifs_attractor(
     subtiles in adapted Hausdorff distance; when the point budget forces
     thinning, the extra one-sided loss is measured and added to the bound in
     meta["error_bound"].
+
+    A level's loss is the largest distance from a removed point to its
+    nearest kept point, as the k-d tree measures it.  Only a removed point
+    that could be the farthest is queried (see `_farthest`): the exact
+    maximum over a strided sample of the removed points is a lower bound r
+    on the loss, and a removed point that shares a grid cell of diagonal
+    below r with a kept point is strictly nearer than r, so it cannot set
+    the maximum.  The loss is the same number a query of every removed
+    point gives.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sset.shared_matrix)
@@ -467,9 +485,8 @@ def gifs_attractor(
                     continue
                 kept, removed = _thin(pts, keep, key_seed=(level << 8) | i)
                 if len(removed):
-                    tree = _kdtree(to_adapted(sd, kept))
-                    loss = float(tree.query(to_adapted(sd, removed))[0].max())
-                    thinning_loss += loss * sd.lam**level  # later levels shrink it
+                    # later levels shrink it
+                    thinning_loss += _thinning_loss(sd, kept, removed) * sd.lam**level
                 approx.points[i] = kept
     base_bound = sd.lam**depth * (c / (1.0 - sd.lam) + seed_norm)
     approx.meta.update(
@@ -508,16 +525,25 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     """Hausdorff distance between finite point sets (rows), exact up to
     floating point: nearest neighbors from k-d tree queries, no sampling.
 
-    The trees only pick the neighbor indices; the distances themselves are
-    recomputed with the plain sqrt-of-squares formula, so the result agrees
-    bit for bit with a brute-force evaluation over the same pairs.  Each set
+    The trees only pick the neighbor indices; the distances that can set
+    the answer are recomputed with the plain sqrt-of-squares formula, so
+    the result agrees bit for bit with a brute-force evaluation over the
+    same pairs.  Each set
     is queried in the leaf order of its own tree, so consecutive queries
-    visit the same few leaves of the other tree, and the neighbor indices are
-    scattered back to row order.  A query's nearest distance depends on
-    neither the order of the queries nor the tree's shape; where several
-    points tie for nearest, the near witness is the lowest row among those
-    at the witness distance, so the witnesses and the direction are a
-    function of the two arrays alone.
+    visit the same few leaves of the other tree.  A query's nearest distance
+    depends on neither the order of the queries nor the tree's shape; the
+    far witness is the lowest row at the maximum, and where several points
+    tie for nearest, the near witness is the lowest row among those at the
+    witness distance, so the witnesses and the direction are a function of
+    the two arrays alone.
+
+    Only the rows that can set the answer are queried (see `_farthest`).
+    The larger of the two directions' exact maxima over strided samples is
+    a lower bound r on the distance.  A row that shares a grid cell of
+    diagonal below r with a point of the other set is strictly nearer than
+    r, so it is not queried.  A direction whose maximum reaches r keeps
+    every row at its maximum; one whose maximum is below r cannot win, since
+    the other direction reaches r.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -526,19 +552,133 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     if len(a) == 0 or len(b) == 0:
         raise DomainError("Hausdorff distance of an empty set is undefined")
     tree_a, tree_b = _kdtree(a), _kdtree(b)
-    idx_ab = np.empty(len(a), dtype=np.intp)
-    idx_ab[tree_a.indices] = tree_b.query(a[tree_a.indices])[1]
-    idx_ba = np.empty(len(b), dtype=np.intp)
-    idx_ba[tree_b.indices] = tree_a.query(b[tree_b.indices])[1]
-    d_ab = _distances(a, b[idx_ab])
-    d_ba = _distances(b, a[idx_ba])
-    i = int(np.argmax(d_ab))
-    j = int(np.argmax(d_ba))
-    if d_ab[i] >= d_ba[j]:
-        near = _lowest_nearest(tree_b, b, a[i], d_ab[i])
-        return HausdorffResult(float(d_ab[i]), a[i].copy(), near, "a_to_b")
-    near = _lowest_nearest(tree_a, a, b[j], d_ba[j])
-    return HausdorffResult(float(d_ba[j]), near, b[j].copy(), "b_to_a")
+    (d_ab, i), (d_ba, j) = _farthest(
+        [(a, tree_a.indices, tree_b, b), (b, tree_b.indices, tree_a, a)], plain=True
+    )
+    if d_ab >= d_ba:
+        near = _lowest_nearest(tree_b, b, a[i], d_ab)
+        return HausdorffResult(float(d_ab), a[i].copy(), near, "a_to_b")
+    near = _lowest_nearest(tree_a, a, b[j], d_ba)
+    return HausdorffResult(float(d_ba), near, b[j].copy(), "b_to_a")
+
+
+# rows of the strided sample that gives the kernel its lower bound
+_SAMPLE_ROWS = 4096
+# the grid may have at most this many cells per query and target row, and
+# at most _AXIS_CELLS along an axis; a finer grid clears nothing
+_CELLS_PER_ROW = 4
+_AXIS_CELLS = 1 << 20
+# rows binned, looked up or queried at a time
+_CHUNK_ROWS = 65_536
+
+
+def _farthest(sides, plain: bool) -> list[tuple[float, int]]:
+    """The directed-distance kernel: for each side (query, order, tree,
+    target), the largest distance from a query row to its nearest point of
+    the tree built over target, and the lowest row at that maximum.
+
+    Distances are the plain formula over the tree's nearest neighbor when
+    `plain`, else the tree's own.  `order` is the order to query the rows in
+    (a permutation of the rows, such as a tree's leaf order), None for row
+    order.  The exact maximum over a strided sample of about _SAMPLE_ROWS
+    rows per side gives r, the largest over the sides.  A query row that
+    shares a cell of `_cleared`'s grid with a target point is strictly
+    nearer than r and is not queried.  Every row at or above r is queried,
+    so a side's maximum and row are exact when the maximum reaches r; a side
+    whose maximum is below r reports some value below r, or (-inf, -1) when
+    every row was cleared.  One side always reaches r.
+    """
+    r = -np.inf
+    for query, _, tree, target in sides:
+        sample = np.arange(0, len(query), -(-len(query) // _SAMPLE_ROWS))
+        r = max(r, _directed_max(query, sample, tree, target, plain)[0])
+    out = []
+    for query, order, tree, target in sides:
+        cleared = _cleared(query, tree, target, r)
+        rows = order
+        if cleared is not None:
+            rows = np.flatnonzero(~cleared) if order is None else order[~cleared[order]]
+        out.append(_directed_max(query, rows, tree, target, plain))
+    return out
+
+
+def _directed_max(query, rows, tree, target, plain: bool) -> tuple[float, int]:
+    """Largest nearest distance over query[rows] (all rows when rows is
+    None) and the lowest of those rows attaining it; (-inf, -1) when rows
+    is empty.  Rows are queried _CHUNK_ROWS at a time, so no temporary
+    grows with the number of rows.  With `plain`, the tree's distance
+    differs from the plain formula by a few ulps, so the rows at the plain
+    maximum are among those within a relative 1e-12 of the tree's, and
+    only those get the plain formula."""
+    top, best = -np.inf, -1
+    n = len(query) if rows is None else len(rows)
+    for start in range(0, n, _CHUNK_ROWS):
+        chunk = None if rows is None else rows[start : start + _CHUNK_ROWS]
+        pts = query[start : start + _CHUNK_ROWS] if chunk is None else query[chunk]
+        dist, idx = tree.query(pts)
+        if plain:
+            near = np.flatnonzero(dist >= dist.max() * (1 - 1e-12))
+            dist = _distances(pts[near], target[idx[near]])
+        peak = dist.max()
+        if peak >= top:
+            at = np.flatnonzero(dist == peak)
+            if plain:
+                at = near[at]
+            low = start + int(at[0]) if chunk is None else int(chunk[at].min())
+            best = low if peak > top else min(best, low)
+            top = peak
+    return top, best
+
+
+def _cleared(query: np.ndarray, tree, target: np.ndarray, r: float) -> np.ndarray | None:
+    """Mask of the query rows that share a grid cell with a target point,
+    or None, clearing nothing, when r is 0 or the grid would be too fine.
+
+    The grid covers the tree's bounding box with cubes of side
+    r / (sqrt(k) (1 + 1e-9)), so two points in one cube are strictly nearer
+    than r.  With at most 2^20 cells per axis a cell coordinate is rounded
+    by at most 2^-32 of a side, well inside the 1e-9 margin.  A ring of
+    cells that no target point occupies surrounds the box, and a query row
+    outside the box is clamped onto it.  Occupied cells are marked in a
+    dense bitmap under int32 keys, the cell cap keeping them in range; rows
+    are binned and looked up in chunks.
+    """
+    k = query.shape[1]
+    side = r / (np.sqrt(k) * (1 + 1e-9))
+    lo = tree.mins
+    extent = tree.maxes - lo
+    if not side > 0 or np.any(extent >= _AXIS_CELLS * side):
+        return None
+    shape = np.floor(extent / side) + 3  # the box's cells and the ring
+    if np.prod(shape) > _CELLS_PER_ROW * (len(query) + len(target)):
+        return None
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]  # row-major
+    occupied = np.zeros(int(np.prod(shape)), dtype=bool)
+    for start in range(0, len(target), _CHUNK_ROWS):
+        occupied[_cell_keys(target[start : start + _CHUNK_ROWS], lo, side, shape, strides)] = True
+    cleared = np.empty(len(query), dtype=bool)
+    for start in range(0, len(query), _CHUNK_ROWS):
+        keys = _cell_keys(query[start : start + _CHUNK_ROWS], lo, side, shape, strides)
+        cleared[start : start + _CHUNK_ROWS] = occupied[keys]
+    return cleared
+
+
+def _cell_keys(pts, lo, side, shape, strides) -> np.ndarray:
+    """int32 key of each row's cell, rows outside the box clamped onto the
+    ring.  The keys are exact: float64 holds every integer below 2^53.  The
+    axes are taken one at a time, which numpy runs faster than rows of
+    length k."""
+    keys = np.zeros(len(pts))
+    cell = np.empty(len(pts))
+    for j in range(pts.shape[1]):
+        np.subtract(pts[:, j], lo[j], out=cell)
+        cell /= side
+        np.floor(cell, out=cell)
+        cell += 1
+        np.clip(cell, 0, shape[j] - 1, out=cell)
+        cell *= strides[j]
+        keys += cell
+    return keys.astype(np.int32)
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:

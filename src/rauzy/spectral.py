@@ -466,9 +466,18 @@ class GammaLattice:
 
 def gamma_generators(sd: SpectralData) -> GammaLattice:
     """Generators of the projected zero-sum lattice.  Warns when the rank
-    guarantee (irreducible characteristic polynomial) is not confirmed."""
+    guarantee (irreducible characteristic polynomial) is not confirmed.
+
+    A unimodular Pisot matrix (sd.lam is set when every non-Perron root
+    lies strictly inside the unit circle) needs no factor search.  A monic
+    integer factor of its characteristic polynomial without the Perron root
+    has all its roots inside the circle, so its constant term, their
+    product up to sign, is an integer of modulus below 1, that is 0; yet it
+    divides det = +-1.  No such factor exists, at any degree.
+    """
+    unimodular_pisot = sd.det in (1, -1) and sd.lam is not None
     try:
-        if not is_irreducible_charpoly(sd.char):
+        if not unimodular_pisot and not is_irreducible_charpoly(sd.char):
             warnings.warn(
                 "characteristic polynomial is reducible; projected lattice may not have full rank",
                 stacklevel=2,

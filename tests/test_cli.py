@@ -374,6 +374,23 @@ def test_cover_origin(tribo_path):
     assert "coverage: 1.0000 (1/1" in proc.stdout
 
 
+def test_cover_five_bonacci_runs_with_warnings_as_errors(tmp_path):
+    # a unimodular Pisot matrix of degree 5: its characteristic polynomial
+    # is irreducible, so the lattice rank needs no warning
+    subs = tmp_path / "penta.subs"
+    subs.write_text("alphabet: abcde\n\n[sub one]\na -> ab\nb -> ac\nc -> ad\nd -> ae\ne -> a\n")
+    env = os.environ.copy()
+    env.pop("RAUZY_POINT_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rauzy", "cover", "--subs", str(subs),
+         "--points", "2000", "--radius", "0.5", "--step", "0.25"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "coverage: 1.0000 (625/625" in proc.stdout
+
+
 def test_balance_and_gaps(tribo_path):
     proc = run_cli(
         "balance", "--subs", tribo_path, "--len", "2000",

@@ -329,3 +329,19 @@ def test_render_exactly_three_colors(tribo_set):
     shades = {tuple(c) for c in np.unique(flat, axis=0)}
     shades.discard((255, 255, 255))
     assert shades == {(230, 57, 70), (69, 123, 157), (42, 157, 143)}
+
+
+@pytest.mark.parametrize("width, height, k", [(120, 90, 2), (7, 300, 2), (64, 64, 1), (33, 17, 3)])
+def test_render_to_path_writes_the_returned_bytes(tmp_path, width, height, k):
+    # the file gets the header and then the raster's buffer; the bytes
+    # returned without a path, header + raster.tobytes(), are the reference
+    rng = np.random.default_rng(width * height + k)
+    approx = RauzyApprox(
+        points={i: rng.normal(size=(50 * i, k)) for i in range(1, k + 2)}, d=k + 1, source="gifs"
+    )
+    want = render_ppm(approx, width, height, margin=0.1)
+    path = tmp_path / "out.ppm"
+    path.write_bytes(b"x" * (len(want) + 100))  # an older, longer file is replaced
+    assert render_ppm(approx, width, height, margin=0.1, path=str(path)) is None
+    assert path.read_bytes() == want
+    assert want[: len(f"P6\n{width} {height}\n255\n")] == f"P6\n{width} {height}\n255\n".encode()

@@ -683,3 +683,192 @@ def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, monkeypatch):
         caller == "_kdtree" and not args and kwargs == {"balanced_tree": False, "compact_nodes": False}
         for caller, args, kwargs in builds
     )
+
+
+# ---------------------------------------------------------------------------
+# the directed-distance kernel: only rows that can set the maximum are
+# queried, and the answer is the one every row's query gives
+
+
+@pytest.fixture
+def cleared_log(monkeypatch):
+    """Per `_cleared` call, the number of query rows cleared (None: no
+    clearing) and how many the side holds."""
+    from rauzy import fractal
+
+    log = []
+    inner = fractal._cleared
+
+    def spy(query, tree, target, r):
+        mask = inner(query, tree, target, r)
+        log.append((None if mask is None else int(mask.sum()), len(query)))
+        return mask
+
+    monkeypatch.setattr(fractal, "_cleared", spy)
+    return log
+
+
+def _assert_both_ways(a, b):
+    _assert_reference_hausdorff(a, b)
+    _assert_reference_hausdorff(b, a)
+
+
+@pytest.mark.parametrize("sample_rows, chunk_rows", [(7, 100), (4096, 65_536)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_kernel_equals_reference_in_every_dimension(k, sample_rows, chunk_rows, cleared_log, monkeypatch):
+    from rauzy import fractal
+
+    monkeypatch.setattr(fractal, "_SAMPLE_ROWS", sample_rows)
+    monkeypatch.setattr(fractal, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        # a dense cloud and a sparse one: the grid stays coarse enough to
+        # clear rows up to k = 5
+        a = rng.random((int(rng.integers(4000, 8000)), k))
+        b = rng.random((int(rng.integers(20, 300)), k)) * rng.choice([1.0, 1.3])
+        _assert_both_ways(a, b)
+    assert any(cleared for cleared, _ in cleared_log)
+
+
+@pytest.mark.parametrize("sample_rows", [7, 4096])
+def test_kernel_two_densities_clears_the_dense_side(sample_rows, cleared_log, monkeypatch):
+    from rauzy import fractal
+
+    monkeypatch.setattr(fractal, "_SAMPLE_ROWS", sample_rows)
+    rng = np.random.default_rng(3)
+    dense = rng.random((20_000, 2))
+    sparse = np.vstack([rng.random((300, 2)), [[0.5, 1.4]]])
+    _assert_both_ways(dense, sparse)
+    # the dense side, queried against the sparse one, is mostly cleared
+    assert max(cleared / n for cleared, n in cleared_log if cleared is not None and n == len(dense)) > 0.5
+
+
+def test_kernel_identical_clouds_clear_nothing(cleared_log):
+    rng = np.random.default_rng(4)
+    a = rng.random((500, 3))
+    for b in (a.copy(), a[::-1].copy(), np.vstack([a, a[:50]])):
+        res = hausdorff(a, b)
+        assert res.distance == 0.0 and res.direction == "a_to_b"
+        _assert_both_ways(a, b)
+    assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
+
+
+def test_kernel_single_row_sets():
+    rng = np.random.default_rng(6)
+    one = np.array([[0.25, -0.5]])
+    for b in (one, one.copy(), np.array([[1.0, 2.0]]), rng.random((400, 2)), np.vstack([one, rng.random((9, 2))])):
+        _assert_both_ways(one, b)
+
+
+def test_kernel_direction_cleared_entirely(cleared_log):
+    rng = np.random.default_rng(8)
+    b = rng.random((3000, 2))
+    a = np.vstack([b, [[3.0, 3.0]]])  # every row of b is a row of a
+    _assert_both_ways(a, b)
+    assert hausdorff(a, b).direction == "a_to_b"
+    # querying b against a, every row shares a cell with itself
+    assert (len(b), len(b)) in cleared_log
+
+
+@pytest.mark.parametrize("sample_rows, chunk_rows", [(3, 16), (50, 65_536)])
+def test_kernel_ties_at_the_maximum_follow_the_reference(sample_rows, chunk_rows, cleared_log, monkeypatch):
+    # integer grids queried from half-integer points: many rows tie at the
+    # maximum, and cleared cells sit beside the tied rows; with small chunks
+    # the tied rows fall in different chunks
+    from rauzy import fractal
+
+    monkeypatch.setattr(fractal, "_SAMPLE_ROWS", sample_rows)
+    monkeypatch.setattr(fractal, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(9)
+    tied_at_max = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        a = rng.integers(-8, 9, size=(int(rng.integers(20, 400)), k)).astype(float)
+        b = rng.integers(-8, 9, size=(int(rng.integers(20, 400)), k)) + rng.choice([0.0, 0.5], size=(1, k))
+        b = np.vstack([b, b[::4]])
+        _assert_both_ways(a, b)
+        dist, point_a, point_b, direction = _reference_hausdorff(a, b)
+        far = a if direction == "a_to_b" else b
+        near = b if direction == "a_to_b" else a
+        nearest = np.sqrt(((far[:, None, :] - near[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+        tied_at_max += np.count_nonzero(nearest == dist) > 1
+    assert tied_at_max > 0
+    assert any(cleared for cleared, _ in cleared_log)
+
+
+def test_kernel_grid_too_fine_clears_nothing(cleared_log, monkeypatch):
+    from rauzy import fractal
+
+    rng = np.random.default_rng(10)
+    a = rng.random((2000, 2))
+    b = a.copy()
+    b[17] += 1e-12  # the distance is far below the cloud's spacing
+    _assert_both_ways(a, b)
+    assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
+    # a grid within the cell cap but over the per-axis cap clears nothing too
+    cleared_log.clear()
+    c = rng.random((2000, 1))
+    d = np.vstack([c, [[1.5]]])
+    _assert_both_ways(c, d)
+    assert any(cleared is not None for cleared, _ in cleared_log)
+    cleared_log.clear()
+    monkeypatch.setattr(fractal, "_AXIS_CELLS", 1)
+    _assert_both_ways(c, d)
+    assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
+
+
+def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tetra_set, monkeypatch):
+    from rauzy import fractal
+
+    cases = [(tribo_set, 14, 3000), (_permuted_family(tetra_set[0], 3), 12, 4000)]
+    got = [gifs_attractor(DirectiveSequence.random(4, len(s)), s, depth, budget=cap) for s, depth, cap in cases]
+    monkeypatch.setattr(fractal, "_cleared", lambda query, tree, target, r: None)
+    for (sset, depth, cap), res in zip(cases, got):
+        want = gifs_attractor(DirectiveSequence.random(4, len(sset)), sset, depth, budget=cap)
+        assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
+        assert res.meta["thinning_loss"] == want.meta["thinning_loss"]
+        assert res.meta["error_bound"] == want.meta["error_bound"]
+
+
+def test_kernel_query_counts_on_compare_and_set_equation_pairs(tribo_set, tribo_sd, monkeypatch):
+    import sys
+
+    import scipy.spatial
+
+    from rauzy import fractal
+
+    builds, queried = [], []
+
+    class CountingKDTree(scipy.spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append(sys._getframe(1).f_code.co_name)
+            super().__init__(data, *args, **kwargs)
+
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    seq = DirectiveSequence.random(3, len(tribo_set))
+    proj = project_prefixes(seq, tribo_set, 20_000)
+    gifs = gifs_attractor(seq, tribo_set, 17)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    # a projection cloud against a denser GIFS cloud: most rows are cleared
+    for i in range(1, 4):
+        a, b = to_adapted(tribo_sd, proj.points[i]), to_adapted(tribo_sd, gifs.points[i])
+        queried.clear()
+        hausdorff(a, b)
+        assert sum(queried) < len(a) + len(b)
+    # the set equation's two sides coincide up to rounding: every row is queried
+    counts = []
+
+    def counted(a, b):
+        queried.clear()
+        res = hausdorff(a, b)
+        counts.append((sum(queried), len(a) + len(b)))
+        return res
+
+    monkeypatch.setattr(fractal, "hausdorff", counted)
+    set_equation_check(seq, tribo_set, 20_000)
+    assert len(counts) == 3 and all(n_queried >= n_rows for n_queried, n_rows in counts)
+    assert gifs_attractor(seq, tribo_set, 12, budget=3000).meta["thinned"]
+    assert builds and all(caller == "_kdtree" for caller in builds)

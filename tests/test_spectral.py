@@ -2,6 +2,7 @@
 adapted norm."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -336,3 +337,28 @@ def test_gamma_reduce_differs_by_lattice_vector(tribo_sd):
     # and the reduced representative lies in a bounded cell
     norm_bound = np.abs(gamma.generators).sum()
     assert np.abs(reduced).max() <= norm_bound
+
+
+def _k_bonacci(k):
+    # incidence matrix of a -> ab, b -> ac, ..., (k-th letter) -> a
+    return IntMatrix([[1] * k] + [[int(j == i) for j in range(k)] for i in range(k - 1)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_gamma_generators_silent_for_unimodular_pisot(k):
+    m = _k_bonacci(k)
+    require_unimodular_pisot(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = gamma_generators(perron_data(m))
+    assert gamma.generators.shape == (k - 1, k - 1)
+    assert abs(gamma.det) > 1e-12
+
+
+def test_gamma_generators_still_warns_for_reducible_non_unimodular():
+    # (x - 1)(x - 3): primitive, not unimodular, and reducible
+    m = IntMatrix([[2, 1], [1, 2]])
+    with pytest.raises(DomainError):
+        require_unimodular_pisot(m)
+    with pytest.warns(UserWarning, match="reducible"):
+        gamma_generators(perron_data(m))

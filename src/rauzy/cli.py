@@ -161,9 +161,19 @@ def cmd_info(args) -> int:
     print(f"char-poly: {poly}")
     print(f"det: {m.det()}")
     try:
-        print(f"irreducible: {'yes' if is_irreducible_charpoly(poly) else 'no'}")
-    except DomainError:
-        print("irreducible: unchecked (degree > 4)")
+        pisot = is_pisot(m)
+        pisot_line = f"pisot: {'yes' if pisot else 'no'}"
+    except IndeterminateError as e:
+        pisot = False
+        pisot_line = f"pisot: indeterminate ({e})"
+    # unimodular Pisot implies irreducible at any degree (see gamma_generators)
+    if pisot and m.det() in (1, -1):
+        print("irreducible: yes")
+    else:
+        try:
+            print(f"irreducible: {'yes' if is_irreducible_charpoly(poly) else 'no'}")
+        except DomainError:
+            print("irreducible: unchecked (degree > 4)")
     exp = primitivity_exponent(m)
     if exp is None:
         print("primitive: no")
@@ -173,10 +183,7 @@ def cmd_info(args) -> int:
     print(f"beta: {sd.beta:.16g}")
     print("stable-moduli: " + ", ".join(f"{x:.16g}" for x in sd.stable_moduli))
     print(f"lambda: {sd.lam:.16g}" if sd.lam is not None else "lambda: n/a")
-    try:
-        print(f"pisot: {'yes' if is_pisot(m) else 'no'}")
-    except IndeterminateError as e:
-        print(f"pisot: indeterminate ({e})")
+    print(pisot_line)
     print(f"unimodular: {'yes' if m.det() in (1, -1) else 'no'}")
     return 0
 

@@ -3,17 +3,21 @@
 CSV files carry one row per point with the 1-based letter first, floats
 formatted with 17 significant digits (format(x, ".17g")) so a round trip is
 bit-exact; coordinates must be finite.  Rows are formatted a chunk at a time
-and parsed by numpy's C reader; a file that reader refuses is read line by
-line, which names the first bad line.  Images are binary PPM (P6), painted
-letter by letter in ascending order so output bytes are a pure function of
-the input cloud.
+in numpy: an error-free product gives each float's 17 digits exactly, and
+the few floats it cannot certify are formatted by format() into the same
+byte matrix.  Files are parsed by numpy's C reader; a file that reader
+refuses is read line by line, which names the first bad line.  Images are
+binary PPM (P6), painted letter by letter in ascending order so output bytes
+are a pure function of the input cloud.
 """
 
 from __future__ import annotations
 
 import colorsys
+import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +31,74 @@ _CHUNK_ROWS = 65_536
 _PLAIN_BYTES = bytes(range(33, 127)) + b"\n"
 # largest image the CLI renders: a 4096x4096 raster is 48 MiB
 MAX_PIXELS = 4096 * 4096
+# bytes of one float's field: format(x, ".17g") is at most 24 long
+# ("-2.2250738585072014e-308")
+_FIELD = 24
+# 10**k for k = 0..22, each exact in binary64
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLITTER = 134217729.0  # 2**27 + 1
+# the 17-digit integers the fixed-notation kernel certifies lie in (_LOW, _HIGH)
+_LOW, _HIGH = 10**16, 10**17
+# A field is three little-endian 64-bit words.  A certified float starts as
+# col 0 '-', cols 1-5 "0.000", col 6 '-', col 7 the leading digit and cols
+# 8-23 the other 16 digits.  Below 1 (exponent E < 0) that is the text, less
+# col 6.  From 1 up, cols 6..6+E take the byte above them and col 7+E turns
+# into the dot, so the sign sits in col 5 and the digits from col 6.
+_WORD = np.dtype("<u8")
+_HEAD = int.from_bytes(b"-0.000-\0", "little")
+_COLS = np.arange(_FIELD)
+
+
+class _Tables(NamedTuple):
+    group_words: np.ndarray
+    group_zeros: np.ndarray
+    shift_move: np.ndarray
+    shift_dot: np.ndarray
+    shift_stay: np.ndarray
+    keep: np.ndarray
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Rows of 24 bytes (bool or uint8) as rows of three words."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(_WORD)
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's lookup tables, built on the first write rather than at
+    import, which every command pays:
+    - each 4-digit group 0000..9999 as four ASCII bytes in the low half of
+      a word, and its trailing zeros;
+    - per dot place E + 1 (0: no shift) the masks of the bytes that move,
+      the dot itself and the bytes that stay, one row per word;
+    - per (E + 4, kept digits - 1, sign) for E = -4..15 the bytes a field
+      keeps: below 1 the sign, "0." and -E - 1 zeros, then the digits; from
+      1 up the sign, the E + 1 integer digits, and the dot and the fraction
+      digits when any fraction digit is left."""
+    digit = np.arange(10, dtype=_WORD) + ord("0")
+    group_words = (
+        digit[:, None, None, None]
+        | digit[None, :, None, None] << 8
+        | digit[None, None, :, None] << 16
+        | digit[None, None, None, :] << 24
+    ).ravel()
+    group_zeros = sum((np.arange(10_000) % t == 0).astype(np.int64) for t in (10, 100, 1000, 10_000))
+
+    dot_col = np.where(np.arange(17) > 0, 6 + np.arange(17), -1)[:, None]
+    shift_move = _words((_COLS < dot_col) * 0xFF).T.copy()
+    shift_dot = _words((_COLS == dot_col) * ord(".")).T.copy()
+    shift_stay = _words((_COLS > dot_col) * 0xFF).T.copy()
+
+    e = np.arange(-4, 16)[:, None, None, None]
+    nd = np.arange(1, 18)[None, :, None, None]
+    neg = np.array([False, True])[None, None, :, None]
+    c = _COLS
+    below = (neg & (c == 0)) | ((c >= 1) & (c < 2 - e)) | ((c >= 7) & (c < 7 + nd))
+    frac = np.maximum(nd - e - 1, 0)
+    length = e + 1 + (frac > 0) * (frac + 1)
+    above = (neg & (c == 5)) | ((c >= 6) & (c < 6 + length))
+    keep = _words(np.where(e < 0, below, above).reshape(-1, _FIELD)).T.copy()
+    return _Tables(group_words, group_zeros, shift_move, shift_dot, shift_stay, keep)
 
 
 def default_colors(d: int) -> list[tuple[int, int, int]]:
@@ -39,20 +111,118 @@ def default_colors(d: int) -> list[tuple[int, int, int]]:
     return colors
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = hi + lo exactly, each half with at most 26
+    significant bits, so a product of two halves is exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _fixed_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed-notation fields of format(v, ".17g") for the floats v in x:
+    the field words, the words of the mask of the bytes each field keeps,
+    both of shape (3,) + x.shape, and where the field is certified.  See
+    write_points_csv for why a certified field is exact."""
+    ax = np.abs(x)
+    fixed = (ax >= 1e-4) & (ax < 1e16)
+    a = np.where(fixed, ax, 1.0)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    # TwoProduct: a * 10**k == p + err exactly
+    b = _POW10[k]
+    p = a * b
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
+    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    ok = fixed & (err - np.floor(err) != 0.5) & (digits > _LOW) & (digits < _HIGH)
+    # uncertified fields are overwritten by the caller; in-range stand-ins
+    # keep the table lookups below in bounds
+    digits[~ok] = _LOW + 1
+    exp = np.clip(16 - k, -4, 15)
+
+    t = _tables()
+    lead, rest = np.divmod(digits, _LOW)
+    hi8, lo8 = np.divmod(rest, 10**8)
+    g1, g2 = np.divmod(hi8, 10**4)
+    g3, g4 = np.divmod(lo8, 10**4)
+    tz = t.group_zeros
+    zeros = tz[g4] + (g4 == 0) * (tz[g3] + (g3 == 0) * (tz[g2] + (g2 == 0) * tz[g1]))
+
+    words = np.empty((3,) + x.shape, dtype=_WORD)
+    words[0] = (lead + 48).astype(_WORD) << 56 | _HEAD
+    words[1] = t.group_words[g1] | t.group_words[g2] << 32
+    words[2] = t.group_words[g3] | t.group_words[g4] << 32
+    moved = np.empty_like(words)
+    moved[:2] = words[:2] >> 8 | words[1:] << 56
+    moved[2] = words[2] >> 8
+    dot = np.maximum(exp + 1, 0)
+    key = ((exp + 4) * 17 + 16 - zeros) * 2 + np.signbit(x)
+    keep = np.empty_like(words)
+    for i in range(3):
+        words[i] = moved[i] & t.shift_move[i][dot] | t.shift_dot[i][dot] | words[i] & t.shift_stay[i][dot]
+        keep[i] = t.keep[i][key]
+    return words, keep, ok
+
+
+def _format_rows(letter: bytes, chunk: np.ndarray) -> bytes:
+    """The CSV rows of one letter's chunk of points: the letter, then each
+    coordinate after a comma, then a newline.  Every row is laid out at full
+    width, with each float's field from _fixed_fields or, where that is not
+    certified, from format(); one boolean mask picks the bytes written."""
+    m, k = chunk.shape
+    lead = len(letter)
+    width = lead + k * (_FIELD + 1) + 1
+    text = np.empty((m, width), dtype=np.uint8)
+    keep = np.ones((m, width), dtype=bool)
+    text[:, :lead] = np.frombuffer(letter, dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    # splitting each row's contiguous run of slots: views, not copies
+    slots = text[:, lead:-1].reshape(m, k, _FIELD + 1)
+    slots[:, :, 0] = ord(",")
+    fields = slots[:, :, 1:]
+    kept = keep[:, lead:-1].reshape(m, k, _FIELD + 1)[:, :, 1:]
+    words, keep_words, ok = _fixed_fields(chunk)
+    fields.view(_WORD)[...] = np.moveaxis(words, 0, -1)
+    kept.view(_WORD)[...] = np.moveaxis(keep_words, 0, -1)
+    rows, cols = np.nonzero(~ok)
+    if len(rows):
+        texts = [format(v, ".17g").encode("ascii") for v in chunk[rows, cols].tolist()]
+        padded = b"".join(t.ljust(_FIELD) for t in texts)
+        fields[rows, cols] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _FIELD)
+        kept[rows, cols] = _COLS < np.array([len(t) for t in texts])[:, None]
+    return text[keep].tobytes()
+
+
 def write_points_csv(approx: RauzyApprox, path: str) -> None:
     """Write one row per point, letters in ascending order, each float as
-    format(x, ".17g").  Rows are formatted a chunk at a time with one
-    printf-style pattern per letter; "%.17g" gives the same bytes."""
+    format(x, ".17g").  Rows are formatted a chunk of _CHUNK_ROWS at a time.
+
+    In the range 1e-4 <= |x| < 1e16, where "%.17g" is fixed notation, the
+    digits are computed in numpy.  With E = floor(log10|x|) and k = 16 - E
+    (1..20, so 10**k is an exact double), Dekker's TwoProduct gives
+    |x| * 10**k = p + err exactly, with p the rounded product.  When p is
+    above 2**53 it is an integer, so D = p + round(err) is the nearest
+    integer to |x| * 10**k.  A float is certified when 10**16 < D < 10**17
+    and err is not an exact half: then |x| * 10**k lies strictly between
+    10**16 and 10**17, so E is the decimal exponent, D is its correctly
+    rounded 17-digit significand with no tie to break, and "%.17g" prints
+    D's digits with the dot placed by E and trailing zeros dropped.  The
+    range test also catches a log10 that is off by one (D near 10**15 or
+    10**18) and a carry of D up to 10**17; a non-integer p, below 2**53,
+    gives D below 10**16.  Every other float (zeros, |x| < 1e-4 and
+    |x| >= 1e16 in scientific notation or beyond the kernel's range,
+    subnormals, ties and the uncertified rest) is formatted by format()
+    into the same byte matrix."""
     k = approx.d - 1
-    header = "letter," + ",".join(f"x{i + 1}" for i in range(k))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(header + "\n")
+    header = "letter," + ",".join(f"x{i + 1}" for i in range(k)) + "\n"
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
         for letter in sorted(approx.points):
-            pts = np.asarray(approx.points[letter], dtype=float)
-            row = f"{letter}" + ",%.17g" * k + "\n"
+            pts = np.asarray(approx.points[letter], dtype=float).reshape(-1, k)
+            lead = str(letter).encode("ascii")
             for start in range(0, len(pts), _CHUNK_ROWS):
-                chunk = pts[start : start + _CHUNK_ROWS]
-                f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+                f.write(_format_rows(lead, pts[start : start + _CHUNK_ROWS]))
 
 
 def _only_plain_bytes(path: str) -> bool:

@@ -391,18 +391,25 @@ def build_gifs_edges(sub: Substitution, sd: SpectralData) -> list[GifsEdge]:
 
 def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> RauzyApprox:
     """Push an approximation of the shifted sequence's subtiles through the
-    set equation of sub, yielding an approximation for the unshifted one."""
+    set equation of sub, yielding an approximation for the unshifted one.
+    Each pivot's array is allocated once at its final size and the mapped
+    points are written into it, so a stepped level is held only once."""
     if approx.d != sd.d:
         raise ValueError("alphabet size mismatch")
-    buckets: dict[int, list[np.ndarray]] = {i: [] for i in range(1, sd.d + 1)}
+    edges = build_gifs_edges(sub, sd)
+    sizes = dict.fromkeys(range(1, sd.d + 1), 0)
+    for edge in edges:
+        sizes[edge.pivot] += len(approx.points[edge.src])
+    points = {i: np.empty((n, sd.d - 1)) for i, n in sizes.items()}
+    filled = dict.fromkeys(sizes, 0)
     mt = sd.m_s.T
-    for edge in build_gifs_edges(sub, sd):
+    for edge in edges:
         src = approx.points[edge.src]
-        if len(src):
-            buckets[edge.pivot].append(src @ mt + edge.translate)
-    points = {}
-    for i in range(1, sd.d + 1):
-        points[i] = np.vstack(buckets[i]) if buckets[i] else np.zeros((0, sd.d - 1))
+        start = filled[edge.pivot]
+        filled[edge.pivot] = start + len(src)
+        view = points[edge.pivot][start : start + len(src)]
+        np.matmul(src, mt, out=view)
+        view += edge.translate
     meta = {"depth": approx.meta.get("depth", 0) + 1}
     return RauzyApprox(points=points, d=sd.d, source="gifs", meta=meta)
 

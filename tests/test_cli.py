@@ -87,6 +87,20 @@ def test_info_non_pisot(quartic_path):
     assert "unimodular: yes" in out
 
 
+def test_info_five_bonacci_is_irreducible(tmp_path):
+    # degree 5 is beyond the factor search, but a unimodular Pisot
+    # characteristic polynomial is irreducible at any degree
+    subs = tmp_path / "penta.subs"
+    subs.write_text("alphabet: abcde\n\n[sub one]\na -> ab\nb -> ac\nc -> ad\nd -> ae\ne -> a\n")
+    proc = run_cli("info", "--subs", str(subs))
+    assert proc.returncode == 0
+    out = proc.stdout
+    assert "irreducible: yes" in out
+    assert "unchecked" not in out
+    assert "pisot: yes" in out
+    assert "unimodular: yes" in out
+
+
 # ---------------------------------------------------------------------------
 # domain refusals and malformed input
 

@@ -115,6 +115,96 @@ def test_csv_bytes_match_per_float_reference(d, tmp_path, monkeypatch):
         assert np.array_equal(_bits(back.points[i]), _bits(approx.points[i]))
 
 
+def _assert_csv_matches_reference(values, tmp_path, name="values.csv"):
+    """Write the floats as a one-coordinate cloud and as the rows of a
+    two-coordinate cloud, and compare both files with the per-float reference."""
+    x = np.asarray(values, dtype=float)
+    clouds = [RauzyApprox(points={1: x.reshape(-1, 1), 2: np.zeros((0, 1))}, d=2, source="gifs")]
+    if len(x) >= 2:
+        pairs = np.column_stack([x, np.roll(x, 1)])
+        clouds.append(RauzyApprox(points={1: pairs[::2], 2: pairs[1::2], 3: pairs[:0]}, d=3, source="gifs"))
+    for approx in clouds:
+        path = str(tmp_path / name)
+        write_points_csv(approx, path)
+        with open(path, "rb") as f:
+            assert f.read() == reference_csv(approx)
+
+
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=st.lists(
+        st.one_of(_FLOAT_BITS, st.floats(allow_nan=False, allow_infinity=False)).filter(math.isfinite),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_csv_float_text_matches_format_on_any_bit_pattern(values, tmp_path):
+    _assert_csv_matches_reference(values, tmp_path)
+
+
+def _ulps(x, n=1):
+    """x and its n nearest neighbours on each side, both signs."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out + [-v for v in out]
+
+
+def _exact_ties():
+    # m/4 with m odd lies in [1e15, 2.25e15) and ends in .25 or .75, so its
+    # 17th significant digit is followed by exactly 5: a half-way case
+    m = np.random.default_rng(5).integers(4 * 10**15, 9 * 10**15, size=200) | 1
+    return list(m / 4) + [(4 * 10**15 + 1) / 4, (9 * 10**15 - 1) / 4]
+
+
+FORMAT_BOUNDARIES = {
+    "powers_of_ten": [v for e in range(-6, 19) for v in _ulps(10.0**e, 2)],
+    "fixed_range_ends": _ulps(1e-4, 3) + _ulps(1e16, 3) + _ulps(1e17, 3),
+    "zeros_subnormals_max": [
+        0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -1.5e-310,
+        2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+    ],
+    "exact_ties": _exact_ties(),
+    # values whose 17-digit significand is at or next to a carry into 10**17
+    "carry_to_1e17": [
+        v
+        for k in range(0, 22)
+        for top in (10**17 - 1, 10**17 - 0.5, 10**17, 10**17 + 1)
+        for v in _ulps(top / 10.0**k, 1)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_BOUNDARIES))
+def test_csv_float_text_at_format_boundaries(name, tmp_path):
+    _assert_csv_matches_reference(FORMAT_BOUNDARIES[name], tmp_path)
+
+
+def test_csv_cloud_values_take_the_vector_path(tribo_set, tmp_path, monkeypatch):
+    approx = project_prefixes(CONST_1, tribo_set, 20_000)
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    # the writer looks format up in its module first, before the builtins
+    monkeypatch.setattr(emit, "format", counting_format, raising=False)
+    path = str(tmp_path / "cloud.csv")
+    write_points_csv(approx, path)
+    with open(path, "rb") as f:
+        assert f.read() == reference_csv(approx)
+    values = sum(pts.size for pts in approx.points.values())
+    assert values == 40_000
+    assert len(calls) <= 0.01 * values
+
+
 def test_csv_written_files_take_the_bulk_reader(tribo_set, tmp_path, monkeypatch):
     approx = project_prefixes(CONST_1, tribo_set, 2000)
     path = str(tmp_path / "cloud.csv")

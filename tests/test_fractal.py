@@ -251,6 +251,34 @@ def test_gifs_step_from_origins(tribo_set, tribo_sd):
     assert np.allclose(out.points[1], 0.0, atol=1e-14)
 
 
+def _reference_gifs_step(sub, sd, approx):
+    """One set-equation step as a list of mapped arrays per pivot, stacked."""
+    buckets = {i: [] for i in range(1, sd.d + 1)}
+    for edge in build_gifs_edges(sub, sd):
+        src = approx.points[edge.src]
+        if len(src):
+            buckets[edge.pivot].append(src @ sd.m_s.T + edge.translate)
+    return {i: np.vstack(b) if b else np.zeros((0, sd.d - 1)) for i, b in buckets.items()}
+
+
+@pytest.mark.parametrize("which", ["tribo", "tetra"])
+def test_gifs_step_bit_equal_to_stacked_reference(which, tribo_set, tetra_set):
+    sset = {"tribo": tribo_set, "tetra": tetra_set}[which]
+    sd = sset.spectral()
+    rng = np.random.default_rng(17)
+    # a random cloud with one letter empty, pushed through three levels
+    points = {i: rng.normal(size=(int(rng.integers(50, 200)), sd.d - 1)) for i in range(1, sd.d + 1)}
+    points[2] = np.zeros((0, sd.d - 1))
+    approx = RauzyApprox(points=points, d=sd.d, source="gifs")
+    for level in range(3):
+        sub = sset.subs[level % len(sset.subs)]
+        expected = _reference_gifs_step(sub, sd, approx)
+        approx = gifs_step(sub, sd, approx)
+        for i in range(1, sd.d + 1):
+            assert approx.points[i].shape == expected[i].shape
+            assert approx.points[i].tobytes() == expected[i].tobytes()
+
+
 def test_gifs_attractor_depth_one_is_single_step(tribo_set, tribo_sd):
     attractor = gifs_attractor(CONST_1, tribo_set, 1)
     seed = RauzyApprox(

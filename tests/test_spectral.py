@@ -12,6 +12,8 @@ from rauzy.adic import SubstitutionSet
 from rauzy.core import DomainError, IndeterminateError, IntMatrix, parse_substitution_set
 from rauzy.spectral import (
     CharPoly,
+    _eigen_transform,
+    _window_transform,
     adapted_norm,
     adapted_norms,
     char_poly,
@@ -218,6 +220,20 @@ def test_adapted_norm_contracts(tribo_sd):
     ratio = float((after / before).max())
     assert ratio <= tribo_sd.lam * (1 + 1e-12)
     assert tribo_sd.lam <= 0.74
+
+
+def test_window_transform_contracts_a_defective_block():
+    # a 2x2 Jordan block: no eigenbasis, so the averaged quadratic form is the norm
+    m_s = np.array([[0.5, 1.0], [0.0, 0.5]])
+    assert _eigen_transform(m_s) is None
+    t = _window_transform(m_s, 0.5)
+    ratio = float(np.linalg.norm(t @ m_s @ np.linalg.inv(t), 2))
+    assert 0.5 <= ratio < 1.0
+    rng = np.random.default_rng(31)
+    ys = rng.normal(size=(1000, 2))
+    norms = np.linalg.norm(ys @ t.T, axis=1)
+    mapped = np.linalg.norm(ys @ m_s.T @ t.T, axis=1)
+    assert (mapped <= ratio * norms * (1 + 1e-12)).all()
 
 
 def test_adapted_norm_axioms(tribo_sd):

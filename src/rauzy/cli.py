@@ -25,7 +25,6 @@ from .adic import (
 from .core import (
     ConvergenceError,
     DomainError,
-    IndeterminateError,
     ParseError,
     ResourceError,
     abelianize,
@@ -52,7 +51,6 @@ from .spectral import (
     char_poly,
     gamma_generators,
     is_irreducible_charpoly,
-    is_pisot,
     to_adapted,
 )
 
@@ -157,33 +155,31 @@ def cmd_info(args) -> int:
     m = sset.shared_matrix
     print("same-matrix: yes")
     print(f"matrix: {_fmt_matrix(m)}")
-    poly = char_poly(m)
+    exp = primitivity_exponent(m)
+    sd = sset.spectral() if exp is not None else None
+    poly = sd.char if sd is not None else char_poly(m)
     print(f"char-poly: {poly}")
     print(f"det: {m.det()}")
-    try:
-        pisot = is_pisot(m)
-        pisot_line = f"pisot: {'yes' if pisot else 'no'}"
-    except IndeterminateError as e:
-        pisot = False
-        pisot_line = f"pisot: indeterminate ({e})"
-    # unimodular Pisot implies irreducible at any degree (see gamma_generators)
-    if pisot and m.det() in (1, -1):
+    # unimodular Pisot implies irreducible at any degree (see gamma_generators);
+    # a matrix that is not primitive is never unimodular Pisot
+    if sd is not None and sd.pisot and sd.det in (1, -1):
         print("irreducible: yes")
     else:
         try:
             print(f"irreducible: {'yes' if is_irreducible_charpoly(poly) else 'no'}")
         except DomainError:
             print("irreducible: unchecked (degree > 4)")
-    exp = primitivity_exponent(m)
-    if exp is None:
+    if sd is None:
         print("primitive: no")
         return 0
     print(f"primitive: yes (exponent {exp})")
-    sd = sset.spectral()
     print(f"beta: {sd.beta:.16g}")
     print("stable-moduli: " + ", ".join(f"{x:.16g}" for x in sd.stable_moduli))
     print(f"lambda: {sd.lam:.16g}" if sd.lam is not None else "lambda: n/a")
-    print(pisot_line)
+    if sd.pisot is None:
+        print(f"pisot: indeterminate ({sd.pisot_doubt})")
+    else:
+        print(f"pisot: {'yes' if sd.pisot else 'no'}")
     print(f"unimodular: {'yes' if m.det() in (1, -1) else 'no'}")
     return 0
 

@@ -162,18 +162,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.rows)
 
-    def pow(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
 
@@ -305,7 +293,7 @@ def wielandt_bound(d: int) -> int:
 
 
 def primitivity_exponent(m: IntMatrix, max_exp: int | None = None) -> int | None:
-    """Smallest k with m.pow(k) strictly positive, or None if none exists
+    """Smallest k with m^k strictly positive, or None if none exists
     up to the Wielandt bound (which is conclusive for nonnegative m)."""
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
@@ -427,5 +415,9 @@ def parse_substitution_set(text: str) -> list[Substitution]:
 
 
 def load_substitution_file(path: str) -> list[Substitution]:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_substitution_set(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_substitution_set(text)

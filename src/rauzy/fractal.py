@@ -179,7 +179,7 @@ def project_prefixes(
     point of seq, split by following letter.  Refuses non-Pisot or
     non-unimodular shared matrices."""
     sd = sset.spectral()
-    require_unimodular_pisot(sset.shared_matrix)
+    require_unimodular_pisot(sd)
     cap = budget if budget is not None else point_budget()
     if n_points > cap:
         raise ResourceError(f"requested {n_points} points exceeds budget {cap}")
@@ -460,7 +460,7 @@ def gifs_attractor(
     point gives.
     """
     sd = sset.spectral()
-    require_unimodular_pisot(sset.shared_matrix)
+    require_unimodular_pisot(sd)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     cap = budget if budget is not None else point_budget()
@@ -774,7 +774,7 @@ def set_equation_check(
     coincide and the residual is numerical noise.
     """
     sd = sset.spectral()
-    require_unimodular_pisot(sset.shared_matrix)
+    require_unimodular_pisot(sd)
     sub0 = sset[seq[0]]
     u1 = limit_point_prefix(seq.shift(1), sset, n_points, chain_index=chain_index)
     source = project_word(sd, u1)

@@ -148,6 +148,8 @@ class SpectralData:
     stable_moduli: tuple[float, ...]  # |eigenvalue| for the non-Perron roots, descending
     norm_transform: np.ndarray | None  # T: adapted norm is ||T @ y||_2; None if no contraction
     lam: float | None  # measured operator norm of T M_s T^-1, the contraction ratio
+    pisot: bool | None  # None when the moduli sit too close to 1 or 0 to decide
+    pisot_doubt: str | None  # why pisot is None
 
 
 def _power_iterate(a: np.ndarray, tol: float, max_iter: int = 50_000) -> np.ndarray:
@@ -308,6 +310,7 @@ def perron_data(m: IntMatrix, tol: float = 1e-12) -> SpectralData:
         t = None
         lam = None
 
+    pisot, doubt = _pisot_verdict(beta, moduli)
     return SpectralData(
         d=d,
         matrix=m,
@@ -323,45 +326,36 @@ def perron_data(m: IntMatrix, tol: float = 1e-12) -> SpectralData:
         stable_moduli=moduli,
         norm_transform=t,
         lam=lam,
+        pisot=pisot,
+        pisot_doubt=doubt,
     )
 
 
-def is_pisot(m: IntMatrix, tol: float = 1e-9) -> bool:
-    """True when the dominant eigenvalue is a real root > 1 and every other
-    eigenvalue has modulus strictly inside the unit circle.
-
-    Raises IndeterminateError when some non-dominant modulus lies within tol
-    of 1 (or of 0, where the answer would be resting on noise).
-    """
-    poly = char_poly(m)
-    roots = np.roots(poly.descending())
-    order = np.argsort(-np.abs(roots))
-    roots = roots[order]
-    dom = roots[0]
-    rest = roots[1:]
-    if abs(dom.imag) > tol * max(1.0, abs(dom)):
-        return False  # dominant pair is complex, so no real Perron root > 1
-    if abs(dom.real) <= 1.0 + tol:
-        raise IndeterminateError("dominant eigenvalue is not clearly outside the unit circle")
-    moduli = np.abs(rest)
-    if np.any(moduli >= 1.0 + tol):
-        return False
-    if np.any(np.abs(moduli - 1.0) <= tol):
-        raise IndeterminateError("an eigenvalue modulus is numerically on the unit circle")
-    if np.any(moduli <= tol):
-        raise IndeterminateError("an eigenvalue modulus is numerically zero")
-    return True
+def _pisot_verdict(beta: float, moduli: tuple[float, ...]) -> tuple[bool | None, str | None]:
+    """(True, None) when beta > 1 and every other eigenvalue lies strictly
+    inside the unit circle, (False, None) when one lies outside it, and
+    (None, reason) when a modulus is within 1e-9 of 1 (or of 0, where the
+    answer would be resting on noise)."""
+    tol = 1e-9
+    if beta <= 1.0 + tol:
+        return None, "dominant eigenvalue is not clearly outside the unit circle"
+    if any(x >= 1.0 + tol for x in moduli):
+        return False, None
+    if any(abs(x - 1.0) <= tol for x in moduli):
+        return None, "an eigenvalue modulus is numerically on the unit circle"
+    if any(x <= tol for x in moduli):
+        return None, "an eigenvalue modulus is numerically zero"
+    return True, None
 
 
-def require_unimodular_pisot(m: IntMatrix) -> None:
-    """Raise DomainError unless m is primitive, has determinant +-1, and is
-    Pisot in the sense of is_pisot."""
-    if primitivity_exponent(m) is None:
-        raise DomainError("matrix is not primitive")
-    det = m.det()
-    if det not in (1, -1):
-        raise DomainError(f"matrix is not unimodular (det {det})")
-    if not is_pisot(m):
+def require_unimodular_pisot(sd: SpectralData) -> None:
+    """Raise DomainError unless the matrix has determinant +-1 and is Pisot
+    (IndeterminateError when the Pisot verdict is undecided)."""
+    if sd.det not in (1, -1):
+        raise DomainError(f"matrix is not unimodular (det {sd.det})")
+    if sd.pisot is None:
+        raise IndeterminateError(sd.pisot_doubt)
+    if not sd.pisot:
         raise DomainError("matrix is not Pisot: some secondary eigenvalue has modulus >= 1")
 
 
@@ -468,16 +462,14 @@ def gamma_generators(sd: SpectralData) -> GammaLattice:
     """Generators of the projected zero-sum lattice.  Warns when the rank
     guarantee (irreducible characteristic polynomial) is not confirmed.
 
-    A unimodular Pisot matrix (sd.lam is set when every non-Perron root
-    lies strictly inside the unit circle) needs no factor search.  A monic
+    A unimodular Pisot matrix needs no factor search.  A monic
     integer factor of its characteristic polynomial without the Perron root
     has all its roots inside the circle, so its constant term, their
     product up to sign, is an integer of modulus below 1, that is 0; yet it
     divides det = +-1.  No such factor exists, at any degree.
     """
-    unimodular_pisot = sd.det in (1, -1) and sd.lam is not None
     try:
-        if not unimodular_pisot and not is_irreducible_charpoly(sd.char):
+        if not (sd.pisot and sd.det in (1, -1)) and not is_irreducible_charpoly(sd.char):
             warnings.warn(
                 "characteristic polynomial is reducible; projected lattice may not have full rank",
                 stacklevel=2,

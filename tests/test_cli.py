@@ -101,8 +101,40 @@ def test_info_five_bonacci_is_irreducible(tmp_path):
     assert "unimodular: yes" in out
 
 
+def test_info_plastic_set(tmp_path):
+    # x^3 - x - 1, the plastic number: unimodular Pisot
+    subs = tmp_path / "plastic.subs"
+    subs.write_text("alphabet: abc\n\n[sub one]\na -> b\nb -> c\nc -> ab\n\n[sub two]\na -> b\nb -> c\nc -> ba\n")
+    proc = run_cli("info", "--subs", str(subs))
+    assert proc.returncode == 0
+    assert "irreducible: yes" in proc.stdout
+    assert "pisot: yes" in proc.stdout
+
+
+def test_zero_eigenvalue_is_indeterminate(tmp_path):
+    # roots 2 and 0: info reports the undecided verdict, fractal refuses
+    subs = tmp_path / "zero.subs"
+    subs.write_text("alphabet: ab\n\n[sub one]\na -> ab\nb -> ab\n")
+    proc = run_cli("info", "--subs", str(subs))
+    assert proc.returncode == 0
+    assert "pisot: indeterminate (an eigenvalue modulus is numerically zero)" in proc.stdout
+    proc = run_cli("fractal", "--subs", str(subs), "--points", "100")
+    assert proc.returncode == 3
+    assert "error:" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # domain refusals and malformed input
+
+
+@pytest.mark.parametrize("cmd", ["info", "fractal"])
+def test_non_utf8_file_is_parse_error(tmp_path, cmd):
+    subs = tmp_path / "binary.subs"
+    subs.write_bytes(b"\xff\xfe")
+    proc = run_cli(cmd, "--subs", str(subs))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
 
 
 def test_fractal_refuses_non_pisot(quartic_path):

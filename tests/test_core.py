@@ -85,18 +85,6 @@ def test_intmatrix_times_vec():
     assert TRIBO_M.times_vec((1, 1, 1)) == (3, 1, 1)
 
 
-def test_intmatrix_pow_matches_repeated_product():
-    rng = random.Random(7)
-    for _ in range(20):
-        m = IntMatrix([[rng.randrange(-3, 4) for _ in range(3)] for _ in range(3)])
-        acc = IntMatrix.identity(3)
-        for k in range(6):
-            assert m.pow(k) == acc
-            acc = acc @ m
-    with pytest.raises(ValueError):
-        TRIBO_M.pow(-1)
-
-
 def test_intmatrix_det_oracles():
     assert TRIBO_M.det() == 1
     assert IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]).det() == -1

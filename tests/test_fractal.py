@@ -442,6 +442,20 @@ def test_compare_constructions_tightens_with_depth(tribo_set):
     assert deep.overall < shallow.overall
 
 
+def test_classification_runs_once_per_set(tribo_set, monkeypatch):
+    from rauzy import spectral
+
+    calls = []
+    real = spectral.char_poly
+    monkeypatch.setattr(spectral, "char_poly", lambda m: calls.append(m) or real(m))
+    sset = SubstitutionSet(list(tribo_set.subs))
+    project_prefixes(CONST_1, sset, 500)
+    gifs_attractor(CONST_1, sset, 3)
+    set_equation_check(CONST_1, sset, 500)
+    compare_constructions(CONST_1, sset, 500, 3)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # continuity in the directive sequence
 

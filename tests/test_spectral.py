@@ -19,7 +19,6 @@ from rauzy.spectral import (
     char_poly,
     gamma_generators,
     is_irreducible_charpoly,
-    is_pisot,
     perron_data,
     project,
     require_unimodular_pisot,
@@ -265,24 +264,29 @@ def test_to_adapted_preserves_the_norm(tribo_sd):
 # classification
 
 
-def test_is_pisot_cases():
-    assert is_pisot(TRIBO_M) is True
-    assert is_pisot(FIB_M) is True
-    assert is_pisot(QUARTIC_M) is False
-    with pytest.raises(IndeterminateError):
-        is_pisot(IntMatrix([[0, 1], [1, 0]]))  # roots on the unit circle
-    with pytest.raises(IndeterminateError):
-        is_pisot(IntMatrix.identity(2))
+def test_pisot_verdicts():
+    for m in (TRIBO_M, FIB_M):
+        sd = perron_data(m)
+        assert sd.pisot is True and sd.pisot_doubt is None
+    sd = perron_data(QUARTIC_M)
+    assert sd.pisot is False and sd.pisot_doubt is None
+    sd = perron_data(IntMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))  # roots 2, -1, -1
+    assert sd.pisot is None and "unit circle" in sd.pisot_doubt
+    sd = perron_data(IntMatrix([[1, 1], [1, 1]]))  # roots 2, 0
+    assert sd.pisot is None and "zero" in sd.pisot_doubt
 
 
 def test_require_unimodular_pisot():
-    require_unimodular_pisot(TRIBO_M)
+    require_unimodular_pisot(perron_data(TRIBO_M))
     with pytest.raises(DomainError, match="Pisot"):
-        require_unimodular_pisot(QUARTIC_M)
+        require_unimodular_pisot(perron_data(QUARTIC_M))
     with pytest.raises(DomainError, match="unimodular"):
-        require_unimodular_pisot(IntMatrix([[3, 1], [1, 1]]))  # Pisot, det 2
+        require_unimodular_pisot(perron_data(IntMatrix([[3, 1], [1, 1]])))  # Pisot, det 2
+    # (x^2 - x - 1)(x + 1): unimodular, with a root on the unit circle
+    with pytest.raises(IndeterminateError, match="unit circle"):
+        require_unimodular_pisot(perron_data(IntMatrix([[0, 2, 1], [1, 0, 0], [0, 1, 0]])))
     with pytest.raises(DomainError, match="primitive"):
-        require_unimodular_pisot(IntMatrix.identity(3))
+        perron_data(IntMatrix.identity(3))
 
 
 def test_irreducibility_low_degrees():
@@ -363,7 +367,7 @@ def _k_bonacci(k):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_gamma_generators_silent_for_unimodular_pisot(k):
     m = _k_bonacci(k)
-    require_unimodular_pisot(m)
+    require_unimodular_pisot(perron_data(m))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gamma = gamma_generators(perron_data(m))
@@ -375,6 +379,6 @@ def test_gamma_generators_still_warns_for_reducible_non_unimodular():
     # (x - 1)(x - 3): primitive, not unimodular, and reducible
     m = IntMatrix([[2, 1], [1, 2]])
     with pytest.raises(DomainError):
-        require_unimodular_pisot(m)
+        require_unimodular_pisot(perron_data(m))
     with pytest.warns(UserWarning, match="reducible"):
         gamma_generators(perron_data(m))

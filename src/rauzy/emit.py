@@ -5,18 +5,20 @@ formatted with 17 significant digits (format(x, ".17g")) so a round trip is
 bit-exact; coordinates must be finite.  Rows are formatted a chunk at a time
 in numpy: an error-free product gives each float's 17 digits exactly, and
 the few floats it cannot certify are formatted by format() into the same
-byte matrix.  Files are parsed by numpy's C reader; a file that reader
-refuses is read line by line, which names the first bad line.  Images are
-binary PPM (P6), painted letter by letter in ascending order so output bytes
-are a pure function of the input cloud.
+byte matrix.  Files are read once and parsed a block of rows at a time in
+numpy; each parsed float is certified by the writer's own digits, and the
+few it cannot certify go through float().  A file that parser refuses is
+read line by line, which defines a valid file and names the first bad line.
+Images are binary PPM (P6), painted letter by letter in ascending order so
+output bytes are a pure function of the input cloud.
 """
 
 from __future__ import annotations
 
 import colorsys
 import functools
+import io
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +29,8 @@ from .fractal import RauzyApprox, _split_by_letter
 _BASE_COLORS = [(230, 57, 70), (69, 123, 157), (42, 157, 143)]
 _GOLDEN_ANGLE = 137.50776405003785
 _CHUNK_ROWS = 65_536
+# bytes of body the reader parses at a time, up to the next newline
+_BLOCK_BYTES = 1 << 18
 # printable ASCII except the space, and the newline
 _PLAIN_BYTES = bytes(range(33, 127)) + b"\n"
 # largest image the CLI renders: a 4096x4096 raster is 48 MiB
@@ -47,6 +51,10 @@ _LOW, _HIGH = 10**16, 10**17
 _WORD = np.dtype("<u8")
 _HEAD = int.from_bytes(b"-0.000-\0", "little")
 _COLS = np.arange(_FIELD)
+# The reader takes a field from the window of _FIELD bytes that ends at it,
+# read as three words.  Byte-wise constants for that window:
+_BYTES = 0x0101010101010101
+_ZERO, _DOT, _TOP = ord("0") * _BYTES, (ord(".") ^ ord("0")) * _BYTES, 0x80 * _BYTES
 
 
 class _Tables(NamedTuple):
@@ -56,6 +64,9 @@ class _Tables(NamedTuple):
     shift_dot: np.ndarray
     shift_stay: np.ndarray
     keep: np.ndarray
+    window_tail: np.ndarray
+    pow10: np.ndarray
+    pow10_long: np.ndarray
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
@@ -65,8 +76,8 @@ def _words(rows: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _tables() -> _Tables:
-    """The kernel's lookup tables, built on the first write rather than at
-    import, which every command pays:
+    """The kernels' lookup tables, built on the first write or read rather
+    than at import, which every command pays:
     - each 4-digit group 0000..9999 as four ASCII bytes in the low half of
       a word, and its trailing zeros;
     - per dot place E + 1 (0: no shift) the masks of the bytes that move,
@@ -74,7 +85,10 @@ def _tables() -> _Tables:
     - per (E + 4, kept digits - 1, sign) for E = -4..15 the bytes a field
       keeps: below 1 the sign, "0." and -E - 1 zeros, then the digits; from
       1 up the sign, the E + 1 integer digits, and the dot and the fraction
-      digits when any fraction digit is left."""
+      digits when any fraction digit is left;
+    - for the reader, per n = 0..24 the words of the mask of a window's
+      last n bytes, and 10**q as int64 (q = 0..18) and as long double
+      (q = 0..23, exact where long double has a 64-bit significand)."""
     digit = np.arange(10, dtype=_WORD) + ord("0")
     group_words = (
         digit[:, None, None, None]
@@ -98,7 +112,13 @@ def _tables() -> _Tables:
     length = e + 1 + (frac > 0) * (frac + 1)
     above = (neg & (c == 5)) | ((c >= 6) & (c < 6 + length))
     keep = _words(np.where(e < 0, below, above).reshape(-1, _FIELD)).T.copy()
-    return _Tables(group_words, group_zeros, shift_move, shift_dot, shift_stay, keep)
+
+    window_tail = _words((_COLS >= _FIELD - np.arange(_FIELD + 1)[:, None]) * 0xFF)
+    pow10 = 10 ** np.arange(19, dtype=np.int64)
+    pow10_long = np.cumprod(np.concatenate([[1], np.full(23, 10)]).astype(np.longdouble))
+    return _Tables(
+        group_words, group_zeros, shift_move, shift_dot, shift_stay, keep, window_tail, pow10, pow10_long
+    )
 
 
 def default_colors(d: int) -> list[tuple[int, int, int]]:
@@ -119,11 +139,11 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _fixed_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed-notation fields of format(v, ".17g") for the floats v in x:
-    the field words, the words of the mask of the bytes each field keeps,
-    both of shape (3,) + x.shape, and where the field is certified.  See
-    write_points_csv for why a certified field is exact."""
+def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17-digit significands of format(v, ".17g") for the floats v in x
+    where that is fixed notation: the integers D, the powers k with D the
+    correctly rounded |v| * 10**k, and where D is certified.  See
+    write_points_csv for why a certified D is exact."""
     ax = np.abs(x)
     fixed = (ax >= 1e-4) & (ax < 1e16)
     a = np.where(fixed, ax, 1.0)
@@ -136,6 +156,14 @@ def _fixed_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
     ok = fixed & (err - np.floor(err) != 0.5) & (digits > _LOW) & (digits < _HIGH)
+    return digits, k, ok
+
+
+def _fixed_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed-notation fields of format(v, ".17g") for the floats v in x:
+    the field words, the words of the mask of the bytes each field keeps,
+    both of shape (3,) + x.shape, and where the field is certified."""
+    digits, k, ok = _significands(x)
     # uncertified fields are overwritten by the caller; in-range stand-ins
     # keep the table lookups below in bounds
     digits[~ok] = _LOW + 1
@@ -225,35 +253,146 @@ def write_points_csv(approx: RauzyApprox, path: str) -> None:
                 f.write(_format_rows(lead, pts[start : start + _CHUNK_ROWS]))
 
 
-def _only_plain_bytes(path: str) -> bool:
-    """True when the file holds nothing but newlines and printable ASCII
-    other than the space.  numpy's reader and Python's int() and float()
-    agree on such files.  Whitespace and control bytes go to the line-by-line
-    reader: numpy strips the separators 0x1c-0x1f around a field, for one,
-    and int() and float() refuse them."""
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            if block.translate(None, _PLAIN_BYTES):
-                return False
-    return True
+def _certified(y: np.ndarray, digits: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where the nonzero float y is exactly the decimal digits / 10**q (in
+    magnitude).  The writer prints y from its 17-digit significand sig, the
+    rounded |y| * 10**k; where digits * 10**(k - q) == sig, that text has
+    the value of digits / 10**q, and float() of that text is y.  The range
+    checks keep the test to exact int64 arithmetic."""
+    sig, k, ok = _significands(y)
+    shift = k - q
+    s = np.clip(shift, 0, 17)
+    pow10 = _tables().pow10
+    return ok & (shift == s) & (digits < pow10[17 - s]) & (digits * pow10[s] == sig)
 
 
-def _load_rows(f, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Parse the body in numpy's C reader; None when any row is malformed,
-    has a letter outside 1..k+1 or a non-finite coordinate."""
-    dtype = [("letter", np.int64), ("x", float, (k,))]
-    try:
-        with warnings.catch_warnings():
-            # warnings (an empty body; numpy 1.x reading an integer via a
-            # float) leave the verdict to the line-by-line reader
-            warnings.simplefilter("error")
-            rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
+def _parse_fields(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floats of the fields buf[starts:ends] and where each is exact.
+    The arrays share one shape, and each end has at least _FIELD bytes of
+    buf before it.
+
+    Fields of the form [-]digits[.digits] with at least one digit are read
+    here.  The _FIELD bytes that end at a field are taken as three
+    little-endian words, cut to the field less its sign and XORed with '0'
+    byte-wise, so that digits become their values.  The dot, now '.' ^ '0',
+    is located and cleared, and the field is plain when every byte is then
+    below 10.  SWAR arithmetic (a word's eight bytes taken as eight packed
+    digits) gives each word's value; with the dot read as a 0 digit the
+    three words give W = I * 10**(q + 1) + F for the digits I before the dot
+    and the q digits F after it, so the significand is D = W - 9 * I * 10**q.
+    A plain field has W below 10**18 and at most _FIELD bytes past its sign.
+
+    The candidate D / 10**q is divided in long double and rounded to a
+    float.  Zeros are exact, other candidates where _certified; one that is
+    not is tried at its two neighbours, since rounding twice (or a long
+    double no wider than a float) can leave it an ulp off.  The caller reads
+    the fields that are not exact with float()."""
+    t = _tables()
+    windows = np.ndarray((len(buf) - _FIELD + 1,), dtype=f"V{_FIELD}", buffer=buf, strides=(1,))
+    words = windows[ends - _FIELD].view(_WORD).reshape(ends.shape + (3,))
+    neg = buf[starts] == ord("-")
+    size = ends - starts - neg
+    b = (words ^ _ZERO) & t.window_tail.take(np.minimum(size, _FIELD), axis=0)
+    dots = ~((b ^ _DOT) + 0x7F * _BYTES) & _TOP
+    b ^= (dots >> 7) * (ord(".") ^ ord("0"))
+    over = (b + 0x76 * _BYTES) & _TOP
+    # one bit per dot, bit 8 * j + w for byte j of word w; the highest, read
+    # off the float's exponent, places a dot at byte 8 * w + j
+    marks = dots[..., 0] >> 7 | dots[..., 1] >> 6 | dots[..., 2] >> 5
+    has_dot = marks != 0
+    bit = (marks.astype(np.float64).view(np.int64) >> 52) - 1023
+    q = np.where(has_dot, _FIELD - 1 - 8 * (bit & 7) - (bit >> 3), 0)
+
+    # eight digits to their value: each byte pair to two digits in its low
+    # byte, then the four pairs at once into the high half
+    b = b * 10 + (b >> 8)
+    pairs = 0x000000FF000000FF
+    b = ((b & pairs) * (100 + (10**6 << 32)) + ((b >> 16) & pairs) * (1 + (10**4 << 32))) >> 32
+    g = b.view(np.int64)
+    plain = (
+        ((over[..., 0] | over[..., 1] | over[..., 2]) == 0)
+        & (marks & (marks - 1) == 0)
+        & (size - has_dot > 0)
+        & (size <= _FIELD)
+        & (g[..., 0] < 100)
+    )
+    whole = np.where(plain, g[..., 0] * 10**16 + g[..., 1] * 10**8 + g[..., 2], 0)
+    head = whole // t.pow10[np.where(has_dot, np.minimum(q + 1, 18), 18)]
+    digits = whole - 9 * head * t.pow10[np.minimum(q, 18)]
+    y = (digits / t.pow10_long[q]).astype(np.float64)
+    np.negative(y, out=y, where=neg)
+    exact = plain & ((digits == 0) | _certified(y, digits, q))
+    retry = np.flatnonzero(plain & ~exact)
+    near = np.nextafter(y.flat[retry], [[np.inf], [-np.inf]])
+    for side, hit in zip(near, _certified(near, digits.flat[retry], q.flat[retry])):
+        y.flat[retry[hit]] = side[hit]
+        exact.flat[retry[hit]] = True
+    return y, exact
+
+
+def _parse_block(data: bytes, pos: int, stop: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of data[pos:stop], which starts a line and ends at a newline
+    or at the end of the file; None when some row has other than k + 1
+    fields or a field that int() or float() refuses, a letter outside
+    1..k+1 or a non-finite coordinate."""
+    n = stop - pos
+    buf = np.zeros(_FIELD + n + (data[stop - 1] != ord("\n")), dtype=np.uint8)
+    buf[_FIELD : _FIELD + n] = np.frombuffer(data, np.uint8, n, pos)
+    buf[-1] = ord("\n")
+    body = buf[_FIELD:]
+    seps = np.flatnonzero((body == ord(",")) | (body == ord("\n"))) + _FIELD
+    if len(seps) % (k + 1):
         return None
-    letters, coords = rows["letter"], rows["x"]
+    seps = seps.reshape(-1, k + 1)
+    if not (buf[seps] == np.frombuffer(b"," * k + b"\n", np.uint8)).all():
+        return None
+    offset = pos - _FIELD
+
+    # letters of one or two digits here, the rest by int()
+    first = np.empty(len(seps), dtype=np.int64)
+    first[0] = _FIELD
+    first[1:] = seps[:-1, k] + 1
+    width = seps[:, 0] - first
+    hi = buf[first].astype(np.int64) - ord("0")
+    lo = buf[first + 1].astype(np.int64) - ord("0")
+    two = width == 2
+    letters = np.where(two, hi * 10 + lo, hi)
+    plain = (width >= 1) & (width <= 2) & (hi >= 0) & (hi <= 9) & (~two | ((lo >= 0) & (lo <= 9)))
+    coords, exact = _parse_fields(buf, seps[:, :k] + 1, seps[:, 1:])
+    rows, cols = np.nonzero(~exact)
+    try:
+        for i in np.flatnonzero(~plain).tolist():
+            letters[i] = int(data[offset + first[i] : offset + seps[i, 0]])
+        coords[rows, cols] = [
+            float(data[offset + a + 1 : offset + b])
+            for a, b in zip(seps[rows, cols].tolist(), seps[rows, cols + 1].tolist())
+        ]
+    except ValueError:
+        return None
     if not (((letters >= 1) & (letters <= k + 1)).all() and np.isfinite(coords).all()):
         return None
     return letters, coords
+
+
+def _read_body(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse the body in numpy, a block of about _BLOCK_BYTES at a time;
+    None when the file holds a byte other than a newline or printable ASCII
+    bar the space, or a block is refused.  On those bytes the line-by-line
+    reader splits rows and fields as this parser does; on others it need
+    not: a carriage return, for one, ends its lines."""
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    pos = data.find(b"\n") + 1 or len(data)
+    letters, coords = [np.zeros(0, dtype=np.int64)], [np.zeros((0, k))]
+    while pos < len(data):
+        stop = data.find(b"\n", pos + _BLOCK_BYTES) + 1 or len(data)
+        block = _parse_block(data, pos, stop, k)
+        if block is None:
+            return None
+        letters.append(block[0])
+        coords.append(block[1])
+        pos = stop
+    return np.concatenate(letters), np.concatenate(coords)
 
 
 def _parse_rows(f, path: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,22 +422,21 @@ def _parse_rows(f, path: str, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_points_csv(path: str) -> RauzyApprox:
-    """Read a points CSV back, bit-exact.  The line-by-line reader defines
-    which files are valid; numpy's C reader takes the files it reads the same
-    way, and anything it refuses is re-read line by line for the verdict."""
+    """Read a points CSV back, bit-exact.  The file is read once, so a pipe
+    reads as well as a file.  The line-by-line reader defines which files
+    are valid; the numpy parser takes the files it reads the same way, and
+    a file that parser refuses is read line by line from the same bytes for
+    the verdict."""
+    with open(path, "rb") as f:
+        data = f.read()
     # a non-ASCII byte decodes to U+FFFD, which fails the header or row checks
-    with open(path, "r", encoding="ascii", errors="replace") as f:
-        header = f.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 2 or cols[0] != "letter" or cols[1] != "x1":
-            raise ParseError(f"{path}: not a points CSV (header {header!r})")
-        k = len(cols) - 1
-        parsed = _load_rows(f, k) if _only_plain_bytes(path) else None
-        if parsed is None:
-            f.seek(0)
-            f.readline()
-            parsed = _parse_rows(f, path, k)
-    letters, coords = parsed
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="replace")
+    header = text.readline().strip()
+    cols = header.split(",")
+    if len(cols) < 2 or cols[0] != "letter" or cols[1] != "x1":
+        raise ParseError(f"{path}: not a points CSV (header {header!r})")
+    k = len(cols) - 1
+    letters, coords = _read_body(data, k) or _parse_rows(text, path, k)
     if not len(letters):
         raise ParseError(f"{path}: no points")
     d = k + 1

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 
-def run_cli(*argv, env_extra=None, timeout=300):
+def run_cli(*argv, env_extra=None, timeout=300, stdin_text=None):
     env = os.environ.copy()
     env.pop("RAUZY_POINT_BUDGET", None)
     if env_extra:
@@ -19,6 +19,7 @@ def run_cli(*argv, env_extra=None, timeout=300):
         text=True,
         env=env,
         timeout=timeout,
+        input=stdin_text,
     )
 
 
@@ -330,6 +331,24 @@ def test_fractal_csv_ppm_and_render_round_trip(tribo_path, tmp_path):
     assert proc.returncode == 0
     with open(redrawn, "rb") as f:
         assert f.read() == data
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_render_reads_a_pipe(tribo_path, tmp_path):
+    csv = str(tmp_path / "cloud.csv")
+    assert run_cli("fractal", "--subs", tribo_path, "--points", "3000", "--out", csv).returncode == 0
+    from_file = str(tmp_path / "file.ppm")
+    assert run_cli("render", "--in", csv, "--out", from_file).returncode == 0
+    with open(csv, encoding="ascii") as f:
+        text = f.read()
+    # a CRLF copy is refused by the numpy parser and read line by line from
+    # the same piped bytes
+    for piped in (text, text.replace("\n", "\r\n")):
+        from_pipe = str(tmp_path / "pipe.ppm")
+        proc = run_cli("render", "--in", "/dev/stdin", "--out", from_pipe, stdin_text=piped)
+        assert proc.returncode == 0, proc.stderr
+        with open(from_pipe, "rb") as a, open(from_file, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_render_refuses_non_finite_csv(tmp_path):

@@ -205,6 +205,33 @@ def test_csv_cloud_values_take_the_vector_path(tribo_set, tmp_path, monkeypatch)
     assert len(calls) <= 0.01 * values
 
 
+@pytest.mark.parametrize("candidate", ["long double", "double"])
+def test_csv_cloud_values_take_the_numpy_reader(candidate, tribo_set, tmp_path, monkeypatch):
+    approx = project_prefixes(CONST_1, tribo_set, 20_000)
+    path = str(tmp_path / "cloud.csv")
+    write_points_csv(approx, path)
+    if candidate == "double":
+        # as where long double is no wider than double: candidates can be an
+        # ulp or two off, and the retry and float() still read every value
+        tables = emit._tables()
+        narrow = tables._replace(pow10_long=tables.pow10_long.astype(np.float64))
+        monkeypatch.setattr(emit, "_tables", lambda: narrow)
+    calls = []
+
+    def counting_float(text):
+        calls.append(text)
+        return float(text)
+
+    # the reader looks float up in its module first, before the builtins
+    monkeypatch.setattr(emit, "float", counting_float, raising=False)
+    back = read_points_csv(path)
+    for i in (1, 2, 3):
+        assert np.array_equal(_bits(back.points[i]), _bits(approx.points[i]))
+    values = sum(pts.size for pts in approx.points.values())
+    assert values == 40_000
+    assert len(calls) <= 0.01 * values
+
+
 def test_csv_written_files_take_the_bulk_reader(tribo_set, tmp_path, monkeypatch):
     approx = project_prefixes(CONST_1, tribo_set, 2000)
     path = str(tmp_path / "cloud.csv")
@@ -303,28 +330,47 @@ def test_csv_read_rejects_non_finite(bad, tmp_path):
         read_points_csv(path)
 
 
-# rows of 2-4 fields; each field is a number-like token, mostly bare, at
-# times wrapped in whitespace, control characters or other stray bytes
-_JUNK = st.sampled_from([""] * 8 + [" ", "\t", "\x0b", "\x1c", "\x1f", "\x00", "\xe9", "_", "#"])
-_TOKEN = st.sampled_from(
-    ["1", "2", "3", "4", "0", "-1", "+2", "01", "1_0", "1.0", "1e0", "0.5", "-2.5e-3",
-     "1_5.0", "1e400", "nan", "-inf", "0x1", ""]
+# Fuzzed bodies for a header of k = 2 or k = 11 coordinates: either clean
+# rows only (a letter and k numbers each), or a mix of clean rows, blank
+# lines and rough rows of k to k + 2 fields, each field a token at times
+# wrapped in whitespace, control characters or other stray bytes.  The
+# numbers cover the forms the numpy parser reads itself ([-]digits[.digits],
+# from 1 to 27 bytes), the texts the writer prints for any bit pattern, and
+# texts that only float() accepts; the rough tokens add texts nothing does.
+# The header ends with the body's newline, and the body may end with one.
+_JUNK = st.sampled_from([""] * 8 + [" ", "\t", "\r", "\x0b", "\x1c", "\x1f", "\x00", "\xe9", "_", "#"])
+_ODD_NUMBERS = [
+    "0.5", ".5", "5.", "-.5", "-0", "-0.0", "0.50", "00.5", "+2", "1_0", "1e0", "-2.5e-3", "1_5.0",
+    "0." + "1" * 22, "-0." + "1" * 21, "0." + "1" * 23, "-" + "9" * 23, "9" * 25,
+]
+_BAD_TOKENS = [
+    "", "-", ".", "-.", "--1", "1.2.3", "1-2", "0x1", "nan", "-inf", "1e400", "1.0", "-1", "0", "1.", "0:",
+]
+_DIGITS = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.one_of(st.text("0123456789", min_size=1, max_size=25), st.text("0123456789", min_size=18, max_size=25)),
+    st.integers(-1, 25),
+).map(lambda t: t[0] + (t[1] if t[2] < 0 else t[1][: t[2]] + "." + t[1][t[2] :]))
+_NUMBER = st.one_of(
+    _DIGITS, _FLOAT_BITS.filter(math.isfinite).map("{:.17g}".format), st.sampled_from(_ODD_NUMBERS)
 )
-_FIELD = st.tuples(_JUNK, _TOKEN, _JUNK).map("".join)
-_ROW = st.one_of(
-    st.lists(_FIELD, min_size=3, max_size=3), st.lists(_FIELD, min_size=2, max_size=4)
-).map(",".join)
-_BODY = st.tuples(
-    st.lists(st.one_of(_ROW, _ROW, _JUNK), max_size=6), st.sampled_from(["\n", "\r\n", "\r"])
-).map(lambda t: t[1].join(t[0]))
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(body=_BODY)
-def test_csv_reader_agrees_with_line_reference(body, tmp_path):
-    path = str(tmp_path / "fuzz.csv")
-    with open(path, "w", encoding="latin-1", newline="") as f:
-        f.write("letter,x1,x2\n" + body)
+def _fuzz_case(k):
+    letter = st.one_of(st.integers(1, k + 1).map(str), st.sampled_from(["01", "+2"]))
+    clean = st.tuples(letter, st.lists(_NUMBER, min_size=k, max_size=k)).map(lambda t: ",".join([t[0], *t[1]]))
+    token = st.one_of(letter, _NUMBER, st.sampled_from(_BAD_TOKENS + [str(k + 2)]))
+    rough = st.lists(st.tuples(_JUNK, token, _JUNK).map("".join), min_size=k, max_size=k + 2).map(",".join)
+    rows = st.one_of(st.lists(clean, min_size=1, max_size=6), st.lists(st.one_of(clean, rough, _JUNK), max_size=6))
+    newline = st.sampled_from(["\n", "\r\n", "\r"])
+    return st.tuples(st.just(k), newline, rows, st.booleans()).map(
+        lambda t: (t[0], t[1], t[1].join(t[2]) + t[1] * t[3])
+    )
+
+
+def _assert_reads_as_reference(path, k):
+    """read_points_csv gives the reference's points bit for bit, or raises
+    the reference's ParseError text."""
     expected = reference_read(path)
     try:
         got = read_points_csv(path)
@@ -332,9 +378,46 @@ def test_csv_reader_agrees_with_line_reference(body, tmp_path):
         assert str(e) == expected
         return
     assert not isinstance(expected, str), f"accepted a file the reference rejects: {expected}"
-    for i in (1, 2, 3):
-        want = np.array([c for letter, c in expected if letter == i], dtype=float).reshape(-1, 2)
+    assert got.d == k + 1
+    for i in range(1, k + 2):
+        want = np.array([c for letter, c in expected if letter == i], dtype=float).reshape(-1, k)
         assert np.array_equal(_bits(got.points[i]), _bits(want))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from([2, 11]).flatmap(_fuzz_case))
+def test_csv_reader_agrees_with_line_reference(case, tmp_path):
+    k, newline, body = case
+    path = str(tmp_path / "fuzz.csv")
+    with open(path, "w", encoding="latin-1", newline="") as f:
+        f.write("letter," + ",".join(f"x{i + 1}" for i in range(k)) + newline + body)
+    _assert_reads_as_reference(path, k)
+
+
+# fields the numpy parser must not misread: several dots, no digit, more
+# bytes than its window (the last 24 of these 25 read as 0.1), digits whose
+# integer wraps around in 64 bits (to 12345), and two-byte letters whose
+# second byte is not a digit
+@pytest.mark.parametrize(
+    "letter, field",
+    [("2", v) for v in ["1.2.3", "1..2", "0.5.", ".1.2", ".", "-", "-.", "", "1000000.10000000000000001",
+                        "-9000000.10000000000000001", "18446744073709563961", "-36893488147419115577",
+                        "1e5", "+1.5", "1_0.5"]]
+    + [(v, "0.5") for v in ["1.", "1-", "0:", "1)", "1(", "+3", "02", "3_"]],
+)
+def test_csv_reader_odd_fields(letter, field, tmp_path):
+    path = _write(tmp_path, "odd.csv", f"letter,x1,x2\n1,0.5,0.25\n{letter},{field},-0.75\n")
+    _assert_reads_as_reference(path, 2)
+
+
+def test_certificate_is_exact_integer_arithmetic():
+    # 0.5 prints as the digits 5 * 10**16 with k = 17; read with 18 fraction
+    # digits those digits are 0.05, not 0.5
+    assert not emit._certified(np.array([0.5]), np.array([5 * 10**16]), np.array([18]))[0]
+    # 1.5 prints as 15 * 10**15 with k = 16; (15 + 2**49) * 10**15 wraps
+    # around to the same integer in 64 bits
+    assert not emit._certified(np.array([1.5]), np.array([15 + 2**49]), np.array([1]))[0]
+    assert emit._certified(np.array([1.5]), np.array([15]), np.array([1]))[0]
 
 
 def test_csv_read_rejects_empty(tmp_path):

@@ -17,17 +17,14 @@ from .adic import (
     SubstitutionSet,
     balance,
     factor_gap_check,
-    is_primitive_sequence,
     limit_point_prefix,
     parse_sequence_spec,
-    splitmix64,
 )
 from .core import (
     ConvergenceError,
     DomainError,
     ParseError,
     ResourceError,
-    abelianize,
     load_substitution_file,
     primitivity_exponent,
 )
@@ -38,21 +35,10 @@ from .fractal import (
     continuity_experiment,
     coverage_estimate,
     gifs_attractor,
-    gifs_step,
-    hausdorff,
+    invariant_checks,
     project_prefixes,
-    project_word,
-    telescoped_counts,
-    telescoping_decomposition,
-    verify_all_prefix_identities,
 )
-from .spectral import (
-    adapted_norms,
-    char_poly,
-    gamma_generators,
-    is_irreducible_charpoly,
-    to_adapted,
-)
+from .spectral import char_poly, gamma_generators, is_irreducible_charpoly
 
 
 def _load_set(path: str) -> SubstitutionSet:
@@ -307,100 +293,13 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _random_word(sset: SubstitutionSet, seed: int, length: int) -> bytes:
-    d = sset.d
-    return bytes(1 + splitmix64(seed, i) % d for i in range(length))
-
-
 def cmd_check(args) -> int:
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
-    fault = args.inject_fault
-    failures = 0
-
-    def report(name: str, ok: bool, measured, threshold) -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"check {name}: {'PASS' if ok else 'FAIL'} measured={measured} threshold={threshold}")
-
-    # abelianization is a morphism invariant under every substitution
-    bad = 0
-    for s_idx, sub in enumerate(sset.subs):
-        m = sub.incidence_matrix()
-        for trial in range(50):
-            w = _random_word(sset, seed=s_idx * 1000 + trial, length=1 + trial % 40)
-            if abelianize(sub.apply(w), sset.d) != m.times_vec(abelianize(w, sset.d)):
-                bad += 1
-    report("abelianization-morphism", bad == 0, f"{bad}-mismatches", "0-mismatches")
-
-    # telescoping count identity, single words and all prefixes
-    word = limit_point_prefix(seq, sset, 2000, chain_index=args.chain)
-    bad = 0
-    for t in (1, 7, 64, 500, 1999):
-        parts = telescoping_decomposition(seq, sset, word[:t], chain_index=args.chain)
-        if telescoped_counts(sset, parts) != abelianize(word[:t], sset.d):
-            bad += 1
-    rep = verify_all_prefix_identities(seq, sset, 2000, chain_index=args.chain)
-    if not rep.all_exact:
-        bad += 1
-    report("telescoping-identity", bad == 0, f"{bad}-mismatches-to-2000", "0-mismatches")
-
-    sd = sset.spectral()
-    # projection commutes with the matrix action
-    rng_pts = np.array(
-        [[splitmix64(7, i * sd.d + j) % 201 - 100 for j in range(sd.d)] for i in range(1000)],
-        dtype=float,
-    )
-    mf = np.asarray(sset.shared_matrix.rows, dtype=float)
-    lhs = rng_pts @ mf.T @ sd.proj_coords.T
-    rhs = rng_pts @ sd.proj_coords.T @ sd.m_s.T
-    resid = float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
-    report("projection-commutes", resid < 1e-9, f"{resid:.3e}", "1e-09")
-
-    # contraction ratio of the adapted norm
-    claimed = sd.lam / 2 if fault == "ratio" else sd.lam
-    dirs = np.array(
-        [[splitmix64(11, i * sd.d + j) / 2**64 - 0.5 for j in range(sd.d - 1)] for i in range(10_000)]
-    )
-    dirs = dirs[np.linalg.norm(dirs, axis=1) > 1e-9]
-    before = adapted_norms(sd, dirs)
-    after = adapted_norms(sd, dirs @ sd.m_s.T)
-    worst = float((after / before).max())
-    report("contraction", worst <= claimed * (1 + 1e-12), f"{worst:.9f}", f"{claimed:.9f}")
-
-    # set equation on matched clouds
-    sub0 = sset[seq[0]]
-    u1 = limit_point_prefix(seq.shift(1), sset, 2000, chain_index=args.chain)
-    source = project_word(sd, u1)
-    target = project_word(sd, sub0.apply(u1))
-    stepped = gifs_step(sub0, sd, source)
-    if fault == "translation":
-        stepped.points[1] = stepped.points[1] + 0.01
-    resid = max(
-        hausdorff(to_adapted(sd, stepped.points[i]), to_adapted(sd, target.points[i])).distance
-        for i in range(1, sd.d + 1)
-    )
-    report("set-equation", resid < 1e-9, f"{resid:.3e}", "1e-09")
-
-    # projected stepped line stays inside the norm ball
-    approx = project_prefixes(seq, sset, 20_000, chain_index=args.chain)
-    ok = approx.meta["max_adapted_norm"] <= approx.meta["norm_bound"]
-    report(
-        "bounded-projection",
-        ok,
-        f"{approx.meta['max_adapted_norm']:.4f}",
-        f"{approx.meta['norm_bound']:.4f}",
-    )
-
-    prim = is_primitive_sequence(seq, sset)
-    report(
-        "primitivity",
-        prim is not None,
-        "none-within-horizon" if prim is None else f"positive-after-{prim + 1}-factors",
-        "horizon-64",
-    )
-
+    checks = invariant_checks(seq, sset, chain_index=args.chain, fault=args.inject_fault)
+    for c in checks:
+        print(f"check {c.name}: {'PASS' if c.ok else 'FAIL'} measured={c.measured} threshold={c.threshold}")
+    failures = sum(not c.ok for c in checks)
     print(f"checks: {'all passed' if failures == 0 else f'{failures} FAILED'}")
     return 0 if failures == 0 else 1
 

@@ -162,12 +162,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.rows)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self.rows for x in r)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .adic import (
     DirectiveSequence,
     SubstitutionSet,
+    is_primitive_sequence,
     limit_point_prefix,
     limit_tower,
     splitmix64_array,
@@ -764,6 +765,7 @@ def set_equation_check(
     sset: SubstitutionSet,
     n_points: int,
     chain_index: int = 0,
+    shift: float = 0.0,
 ) -> SetEquationReport:
     """The two sides of the set equation, evaluated on matched finite clouds.
 
@@ -771,7 +773,9 @@ def set_equation_check(
     sequence; the target projects sigma_0(u1), which is a limit-point prefix
     of the unshifted sequence.  Every target vertex is then exactly one
     mapped source vertex, so up to floating point the per-letter clouds
-    coincide and the residual is numerical noise.
+    coincide and the residual is numerical noise.  A nonzero `shift` is
+    added to subtile 1 of the pushed cloud, a wrong translation that the
+    residual must show.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
@@ -780,16 +784,100 @@ def set_equation_check(
     source = project_word(sd, u1)
     target = project_word(sd, sub0.apply(u1))
     stepped = gifs_step(sub0, sd, source)
-    per = {}
-    for i in range(1, sd.d + 1):
-        res = hausdorff(to_adapted(sd, stepped.points[i]), to_adapted(sd, target.points[i]))
-        per[i] = res.distance
+    if shift:
+        stepped.points[1] = stepped.points[1] + shift
+    per = {i: w.distance for i, w in subtile_hausdorff(sd, stepped, target).items()}
     return SetEquationReport(
         per_letter=per,
         max_residual=max(per.values()),
         n_source=source.total(),
         n_target=target.total(),
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of one invariant check, with the measured value and the
+    threshold it is held to as the text `rauzy check` prints."""
+
+    name: str
+    ok: bool
+    measured: str
+    threshold: str
+
+
+def invariant_checks(
+    seq: DirectiveSequence,
+    sset: SubstitutionSet,
+    chain_index: int = 0,
+    fault: str | None = None,
+) -> list[Check]:
+    """The seven invariants of a unimodular Pisot directive sequence, in a
+    fixed order: abelianization is a morphism, the telescoping count
+    identity, projection commutes with the matrix, the adapted norm
+    contracts by lam, the set equation, the projected stepped line stays in
+    its norm ball, and primitivity.  Sample words, lattice points and
+    directions are fixed splitmix64 streams, so the records are a function
+    of the inputs.
+
+    `fault` breaks one invariant to show that its check catches it:
+    "ratio" halves the claimed contraction ratio, "translation" moves
+    subtile 1 of the pushed set-equation cloud by 0.01.  A matrix that is
+    not unimodular Pisot raises before any check is run.
+    """
+    if fault not in (None, "ratio", "translation"):
+        raise ValueError(f"unknown fault {fault!r}")
+    sd = sset.spectral()
+    require_unimodular_pisot(sd)
+    d = sd.d
+    checks = []
+
+    bad = 0
+    for s_idx, (sub, m) in enumerate(zip(sset.subs, sset.matrices)):
+        for trial in range(50):
+            letters = splitmix64_array(s_idx * 1000 + trial, 0, 1 + trial % 40) % np.uint64(d)
+            w = (letters + np.uint64(1)).astype(np.uint8).tobytes()
+            if abelianize(sub.apply(w), d) != m.times_vec(abelianize(w, d)):
+                bad += 1
+    checks.append(Check("abelianization-morphism", bad == 0, f"{bad}-mismatches", "0-mismatches"))
+
+    # single words and then every prefix at once
+    word = limit_point_prefix(seq, sset, 2000, chain_index=chain_index)
+    bad = 0
+    for t in (1, 7, 64, 500, 1999):
+        parts = telescoping_decomposition(seq, sset, word[:t], chain_index=chain_index)
+        if telescoped_counts(sset, parts) != abelianize(word[:t], d):
+            bad += 1
+    if not verify_all_prefix_identities(seq, sset, 2000, chain_index=chain_index).all_exact:
+        bad += 1
+    checks.append(Check("telescoping-identity", bad == 0, f"{bad}-mismatches-to-2000", "0-mismatches"))
+
+    pts = (splitmix64_array(7, 0, 1000 * d) % np.uint64(201)).astype(float).reshape(1000, d) - 100
+    mf = np.asarray(sset.shared_matrix.rows, dtype=float)
+    lhs = pts @ mf.T @ sd.proj_coords.T
+    rhs = pts @ sd.proj_coords.T @ sd.m_s.T
+    resid = float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
+    checks.append(Check("projection-commutes", resid < 1e-9, f"{resid:.3e}", "1e-09"))
+
+    # direction i takes indices i*d .. i*d + d-2 of the stream
+    claimed = sd.lam / 2 if fault == "ratio" else sd.lam
+    dirs = splitmix64_array(11, 0, 10_000 * d).reshape(10_000, d)[:, : d - 1] / 2.0**64 - 0.5
+    dirs = dirs[np.linalg.norm(dirs, axis=1) > 1e-9]
+    worst = float((adapted_norms(sd, dirs @ sd.m_s.T) / adapted_norms(sd, dirs)).max())
+    checks.append(Check("contraction", worst <= claimed * (1 + 1e-12), f"{worst:.9f}", f"{claimed:.9f}"))
+
+    shift = 0.01 if fault == "translation" else 0.0
+    resid = set_equation_check(seq, sset, 2000, chain_index=chain_index, shift=shift).max_residual
+    checks.append(Check("set-equation", resid < 1e-9, f"{resid:.3e}", "1e-09"))
+
+    meta = project_prefixes(seq, sset, 20_000, chain_index=chain_index).meta
+    norm, bound = meta["max_adapted_norm"], meta["norm_bound"]
+    checks.append(Check("bounded-projection", norm <= bound, f"{norm:.4f}", f"{bound:.4f}"))
+
+    prim = is_primitive_sequence(seq, sset)
+    measured = "none-within-horizon" if prim is None else f"positive-after-{prim + 1}-factors"
+    checks.append(Check("primitivity", prim is not None, measured, "horizon-64"))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +1000,11 @@ def coverage_estimate(
     k = approx.d - 1
     if gamma.generators.shape != (k, k):
         raise ValueError("lattice dimension does not match the approximation")
-    steps = int(np.floor(2 * window_radius / grid_step)) + 1
+    # in float, so a grid too fine to count is refused, not an int overflow
+    steps = np.floor(2 * window_radius / grid_step) + 1
     if steps**k > 4_000_000:
         raise ResourceError("coverage grid too fine for the window")
+    steps = int(steps)
     axes = [np.linspace(-window_radius, window_radius, steps) for _ in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])

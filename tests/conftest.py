@@ -4,7 +4,9 @@ The three-letter pair shares the cubic unimodular Pisot matrix, the
 two-letter pair has mismatched matrices, and the four-letter shiftup one is
 the standard primitive unimodular counterexample whose secondary eigenvalues
 leave the unit disk.  The 4-bonacci substitution is unimodular Pisot with
-characteristic polynomial x^4 - x^3 - x^2 - x - 1.
+characteristic polynomial x^4 - x^3 - x^2 - x - 1.  The Fibonacci, plastic
+and 5-bonacci sets are unimodular Pisot at d = 2, 3 and 5; the plastic pair
+(x^3 - x - 1) is not k-bonacci.
 """
 
 import pytest
@@ -59,6 +61,39 @@ c -> ad
 d -> a
 """
 
+FIB_TEXT = """\
+alphabet: ab
+
+[sub fib]
+a -> ab
+b -> a
+"""
+
+PLASTIC_TEXT = """\
+alphabet: abc
+
+[sub one]
+a -> b
+b -> c
+c -> ab
+
+[sub two]
+a -> b
+b -> c
+c -> ba
+"""
+
+PENTA_TEXT = """\
+alphabet: abcde
+
+[sub penta]
+a -> ab
+b -> ac
+c -> ad
+d -> ae
+e -> a
+"""
+
 DOUBLING_TEXT = """\
 alphabet: ab
 
@@ -76,6 +111,9 @@ def data_dir(tmp_path_factory):
     (d / "quartic.subs").write_text(QUARTIC_TEXT)
     (d / "doubling.subs").write_text(DOUBLING_TEXT)
     (d / "tetra.subs").write_text(TETRA_TEXT)
+    (d / "fib.subs").write_text(FIB_TEXT)
+    (d / "plastic.subs").write_text(PLASTIC_TEXT)
+    (d / "penta.subs").write_text(PENTA_TEXT)
     return d
 
 

@@ -1,4 +1,5 @@
-"""End-to-end command line tests driven through subprocess."""
+"""End-to-end command line tests, driven through subprocess, and in-process
+runs of `rauzy.cli.main` where a test compares its output with the library."""
 
 import os
 import re
@@ -6,6 +7,11 @@ import subprocess
 import sys
 
 import pytest
+
+from rauzy.adic import SubstitutionSet, parse_sequence_spec
+from rauzy.cli import main
+from rauzy.core import load_substitution_file
+from rauzy.fractal import invariant_checks
 
 
 def run_cli(*argv, env_extra=None, timeout=300, stdin_text=None):
@@ -281,6 +287,19 @@ def test_image_at_pixel_cap_is_rendered(tribo_path, tmp_path):
     assert out.stat().st_size == len(b"P6\n16 1048576\n255\n") + 3 * 4096 * 4096
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--radius", "1e300", "--step", "1e-300"], ["--radius", "1e308", "--step", "1"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cover_grid_over_cap_refused(tribo_path, argv):
+    # the grid's size overflows an integer: the cap is tested in float
+    proc = run_cli("cover", "--subs", tribo_path, "--points", "2000", *argv)
+    assert proc.returncode == 4
+    assert "coverage grid too fine" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_budget_flag(tribo_path):
     proc = run_cli("fractal", "--subs", tribo_path, "--points", "2000", "--budget", "1999")
     assert proc.returncode == 4
@@ -415,6 +434,44 @@ def test_check_catches_injected_faults(tribo_path, fault, name):
     proc = run_cli("check", "--subs", tribo_path, "--inject-fault", fault)
     assert proc.returncode == 1
     assert f"check {name}: FAIL" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "subs,spec,fault",
+    [
+        ("tribo", "(1)", None),
+        ("tribo", "(1)", "translation"),
+        ("plastic", "random:2", None),
+        ("tetra", "(1)", None),
+        ("fib", "(1)", None),
+        ("penta", "(1)", None),
+    ],
+)
+def test_check_prints_the_library_records(data_dir, capsys, subs, spec, fault):
+    path = str(data_dir / f"{subs}.subs")
+    sset = SubstitutionSet(load_substitution_file(path))
+    checks = invariant_checks(parse_sequence_spec(spec, len(sset)), sset, fault=fault)
+    argv = ["check", "--subs", path, "--seq", spec]
+    code = main(argv + ["--inject-fault", fault] if fault else argv)
+    failed = sum(not c.ok for c in checks)
+    lines = [
+        f"check {c.name}: {'PASS' if c.ok else 'FAIL'} measured={c.measured} threshold={c.threshold}"
+        for c in checks
+    ]
+    lines.append(f"checks: {f'{failed} FAILED' if failed else 'all passed'}")
+    assert code == (1 if failed else 0)
+    assert failed == (fault is not None)
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "subs,spec",
+    [("quartic", "(1)"), ("doubling", "(1)"), ("sturmian", "(1)"), ("tribo", "12")],
+    ids=["not-pisot", "det-0", "unequal-matrices", "finite-sequence"],
+)
+def test_check_refuses_before_any_line(data_dir, capsys, subs, spec):
+    assert main(["check", "--subs", str(data_dir / f"{subs}.subs"), "--seq", spec]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_tolerance_gate(tribo_path):

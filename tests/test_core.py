@@ -110,9 +110,7 @@ def test_intmatrix_det_sarrus_fuzz():
         assert IntMatrix(r).det() == sarrus
 
 
-def test_intmatrix_transpose_trace_immutable():
-    assert TRIBO_M.transpose() == IntMatrix([[1, 1, 0], [1, 0, 1], [1, 0, 0]])
-    assert TRIBO_M.trace() == 1
+def test_intmatrix_immutable():
     with pytest.raises(AttributeError):
         TRIBO_M.rows = ()
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from rauzy.adic import DirectiveSequence, SubstitutionSet, limit_point_prefix
-from rauzy.core import DomainError, ResourceError, Substitution, abelianize
+from rauzy.adic import DirectiveSequence, SubstitutionSet, limit_point_prefix, parse_sequence_spec
+from rauzy.core import DomainError, ResourceError, Substitution, abelianize, load_substitution_file
 from rauzy.fractal import (
     RauzyApprox,
     build_gifs_edges,
@@ -16,6 +16,7 @@ from rauzy.fractal import (
     gifs_attractor,
     gifs_step,
     hausdorff,
+    invariant_checks,
     point_budget,
     prefix_bound_constant,
     project_prefixes,
@@ -419,6 +420,47 @@ def test_set_equation_residual_is_numerical_noise(tribo_set):
 def test_set_equation_random_sequence(tribo_set):
     rep = set_equation_check(DirectiveSequence.random(42, 2), tribo_set, 2000)
     assert rep.max_residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the invariant registry
+
+CHECK_NAMES = [
+    "abelianization-morphism",
+    "telescoping-identity",
+    "projection-commutes",
+    "contraction",
+    "set-equation",
+    "bounded-projection",
+    "primitivity",
+]
+
+# (subs file, sequence spec): d = 3, 3 (not k-bonacci), 4, 2 and 5
+CHECK_FAMILIES = [
+    ("tribo", "(1)"),
+    ("plastic", "random:2"),
+    ("tetra", "(1)"),
+    ("fib", "(1)"),
+    ("penta", "(1)"),
+]
+
+
+@pytest.mark.parametrize("subs,spec", CHECK_FAMILIES)
+def test_invariant_checks_pass_and_each_fault_fails_its_check(data_dir, subs, spec):
+    sset = SubstitutionSet(load_substitution_file(str(data_dir / f"{subs}.subs")))
+    seq = parse_sequence_spec(spec, len(sset))
+    checks = invariant_checks(seq, sset)
+    assert [c.name for c in checks] == CHECK_NAMES
+    assert all(c.ok for c in checks), checks
+    for fault, name in (("ratio", "contraction"), ("translation", "set-equation")):
+        broken = invariant_checks(seq, sset, fault=fault)
+        assert [c.name for c in broken] == CHECK_NAMES
+        assert [c.name for c in broken if not c.ok] == [name]
+
+
+def test_invariant_checks_refuse_an_unknown_fault(tribo_set):
+    with pytest.raises(ValueError):
+        invariant_checks(CONST_1, tribo_set, fault="sign")
 
 
 # ---------------------------------------------------------------------------

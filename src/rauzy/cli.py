@@ -34,6 +34,7 @@ from .fractal import (
     compare_constructions,
     continuity_experiment,
     coverage_estimate,
+    coverage_grid_steps,
     gifs_attractor,
     invariant_checks,
     project_prefixes,
@@ -67,9 +68,15 @@ def _sibling(path: str, ext: str) -> str:
     return path + ext
 
 
+# work is linear in the GIFS depth and in the number of continuity rows
+MAX_DEPTH = 1000
+MAX_CONTINUITY_ROWS = 1000
+
+
 def _check_flags(args) -> None:
     """Reject bad flags before any input is read or any cloud built: exit 2,
-    or exit 4 for an image over the pixel cap."""
+    then exit 4 for an image over the pixel cap, a `--depth` over MAX_DEPTH
+    or more than MAX_CONTINUITY_ROWS continuity rows."""
     if getattr(args, "chain", 0) < 0:
         raise ParseError("--chain must be nonnegative")
     if getattr(args, "budget", None) is not None and args.budget < _MIN_BUDGET:
@@ -107,6 +114,12 @@ def _check_flags(args) -> None:
         if args.width * args.height > MAX_PIXELS:
             size = f"{args.width}x{args.height}"
             raise ResourceError(f"a {size} image exceeds the cap of {MAX_PIXELS} pixels")
+    if getattr(args, "depth", 1) > MAX_DEPTH:
+        raise ResourceError(f"--depth {args.depth} exceeds the cap of {MAX_DEPTH}")
+    if hasattr(args, "stride"):
+        rows = (args.n_max - args.n_min) // args.stride + 1
+        if rows > MAX_CONTINUITY_ROWS:
+            raise ResourceError(f"{rows} continuity rows exceed the cap of {MAX_CONTINUITY_ROWS}")
 
 
 def _write_outputs(args, approx) -> None:
@@ -272,6 +285,7 @@ def cmd_cover(args) -> int:
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     sd = sset.spectral()
+    coverage_grid_steps(args.radius, args.step, sset.d - 1)  # refuse an over-cap grid before the cloud
     approx = project_prefixes(seq, sset, args.points, chain_index=args.chain, budget=args.budget)
     gamma = gamma_generators(sd)
     report = coverage_estimate(approx, gamma, args.radius, args.step, eps=args.eps)

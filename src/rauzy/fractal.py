@@ -373,21 +373,37 @@ def verify_all_prefix_identities(
 
 @dataclass(frozen=True, eq=False)
 class GifsEdge:
-    """One image splitting of the outermost substitution: the subtile src of
-    the shifted sequence maps into subtile pivot via y -> M_s y + translate."""
+    """One image splitting of the outermost substitution, the occurrence at
+    `position` of the image of src: the subtile src of the shifted sequence
+    maps into subtile pivot via y -> M_s y + translate."""
 
     src: int
+    position: int
     pivot: int
     translate: np.ndarray
 
 
 def build_gifs_edges(sub: Substitution, sd: SpectralData) -> list[GifsEdge]:
-    """Edges of the set equation for one outermost substitution."""
+    """Edges of the set equation for one outermost substitution, in
+    `prefix_suffix_table` order."""
     edges = []
     for entry in prefix_suffix_table(sub):
         tr = project(sd, np.asarray(abelianize(entry.prefix, sd.d), dtype=float))
-        edges.append(GifsEdge(src=entry.letter, pivot=entry.pivot, translate=tr))
+        edges.append(GifsEdge(src=entry.letter, position=entry.position, pivot=entry.pivot, translate=tr))
     return edges
+
+
+def _gifs_layout(edges: list[GifsEdge], counts: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+    """Where `gifs_step` writes a level: the size of each pivot's array, and
+    the row of its pivot's array at which each edge's mapped copy of its
+    source subtile (counts[src] rows) starts.  Edges fill their pivot's
+    array in list order."""
+    sizes = dict.fromkeys(counts, 0)
+    starts = []
+    for edge in edges:
+        starts.append(sizes[edge.pivot])
+        sizes[edge.pivot] += counts[edge.src]
+    return sizes, starts
 
 
 def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> RauzyApprox:
@@ -398,16 +414,11 @@ def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> Rauzy
     if approx.d != sd.d:
         raise ValueError("alphabet size mismatch")
     edges = build_gifs_edges(sub, sd)
-    sizes = dict.fromkeys(range(1, sd.d + 1), 0)
-    for edge in edges:
-        sizes[edge.pivot] += len(approx.points[edge.src])
+    sizes, starts = _gifs_layout(edges, {i: len(approx.points[i]) for i in range(1, sd.d + 1)})
     points = {i: np.empty((n, sd.d - 1)) for i, n in sizes.items()}
-    filled = dict.fromkeys(sizes, 0)
     mt = sd.m_s.T
-    for edge in edges:
+    for edge, start in zip(edges, starts):
         src = approx.points[edge.src]
-        start = filled[edge.pivot]
-        filled[edge.pivot] = start + len(src)
         view = points[edge.pivot][start : start + len(src)]
         np.matmul(src, mt, out=view)
         view += edge.translate
@@ -772,13 +783,28 @@ def set_equation_check(
     The source cloud projects a limit-point prefix u1 of the shifted
     sequence; the target projects sigma_0(u1), which is a limit-point prefix
     of the unshifted sequence.  Every target vertex is then exactly one
-    mapped source vertex, so up to floating point the per-letter clouds
-    coincide and the residual is numerical noise.  A nonzero `shift` is
-    added to subtile 1 of the pushed cloud, a wrong translation that the
-    residual must show.
+    mapped source vertex, so each pair is compared directly.  Position t of
+    sigma_0(u1) lies in the image of source position s, at offset j, and
+    its letter p is the pivot of the edge (u1[s], j).  In pivot p's array
+    of `gifs_step`, the mapped s sits at the row where that edge's copy of
+    subtile u1[s] starts, plus the rank of s among the source positions
+    with letter u1[s]; in the target's subtile p it sits at the rank of t
+    among the positions with letter p.  The edge starts come from
+    `_gifs_layout`, the layout `gifs_step` writes.
+
+    A subtile's residual is the largest adapted distance over its matched
+    pairs, by the formula `hausdorff` uses.  Every point is within that
+    distance of its partner, so it bounds both directed distances and is at
+    least the Hausdorff distance of the two clouds: a residual below a
+    threshold proves the Hausdorff distance is too, and a wrong pairing
+    shows as a large residual, never as a small one.  Up to floating point
+    the pairs coincide and the residual is numerical noise.  A nonzero
+    `shift` is added to subtile 1 of the pushed cloud, a wrong translation
+    that the residual must show.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
+    d = sd.d
     sub0 = sset[seq[0]]
     u1 = limit_point_prefix(seq.shift(1), sset, n_points, chain_index=chain_index)
     source = project_word(sd, u1)
@@ -786,7 +812,26 @@ def set_equation_check(
     stepped = gifs_step(sub0, sd, source)
     if shift:
         stepped.points[1] = stepped.points[1] + shift
-    per = {i: w.distance for i, w in subtile_hausdorff(sd, stepped, target).items()}
+    letters = np.frombuffer(u1, dtype=np.uint8)
+    images = sub0.table[letters]
+    s, j = np.nonzero(images)  # target position t, in order, is (s[t], j[t])
+    rank = np.empty(len(letters), dtype=np.intp)
+    for a in range(1, d + 1):
+        at = letters == a
+        rank[at] = np.arange(np.count_nonzero(at))
+    edges = build_gifs_edges(sub0, sd)
+    _, starts = _gifs_layout(edges, {a: len(source.points[a]) for a in range(1, d + 1)})
+    edge_start = np.zeros(sub0.table.shape, dtype=np.intp)
+    for edge, start in zip(edges, starts):
+        edge_start[edge.src, edge.position] = start
+    rows = edge_start[letters[s], j] + rank[s]
+    pivots = images[s, j]
+    per = {}
+    for p in range(1, d + 1):
+        if not len(target.points[p]):
+            raise DomainError("Hausdorff distance of an empty set is undefined")
+        matched = to_adapted(sd, stepped.points[p])[rows[pivots == p]]
+        per[p] = float(_distances(matched, to_adapted(sd, target.points[p])).max())
     return SetEquationReport(
         per_letter=per,
         max_residual=max(per.values()),
@@ -965,6 +1010,17 @@ class CoverageReport:
     mask: np.ndarray = field(repr=False, compare=False)  # covered, in grid order
 
 
+def coverage_grid_steps(window_radius: float, grid_step: float, k: int) -> int:
+    """Grid points per axis of `coverage_estimate`'s grid over [-R, R]^k.
+    Raises ResourceError when the grid would hold more than 4,000,000
+    points; the count is taken in float, so a grid too fine to count is
+    refused, not an int overflow."""
+    steps = np.floor(2 * window_radius / grid_step) + 1
+    if steps**k > 4_000_000:
+        raise ResourceError("coverage grid too fine for the window")
+    return int(steps)
+
+
 def coverage_estimate(
     approx: RauzyApprox,
     gamma: GammaLattice,
@@ -1000,11 +1056,7 @@ def coverage_estimate(
     k = approx.d - 1
     if gamma.generators.shape != (k, k):
         raise ValueError("lattice dimension does not match the approximation")
-    # in float, so a grid too fine to count is refused, not an int overflow
-    steps = np.floor(2 * window_radius / grid_step) + 1
-    if steps**k > 4_000_000:
-        raise ResourceError("coverage grid too fine for the window")
-    steps = int(steps)
+    steps = coverage_grid_steps(window_radius, grid_step, k)
     axes = [np.linspace(-window_radius, window_radius, steps) for _ in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])

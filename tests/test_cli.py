@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from rauzy.adic import SubstitutionSet, parse_sequence_spec
-from rauzy.cli import main
-from rauzy.core import load_substitution_file
+from rauzy.cli import MAX_CONTINUITY_ROWS, MAX_DEPTH, _check_flags, build_parser, main
+from rauzy.core import ResourceError, load_substitution_file
 from rauzy.fractal import invariant_checks
 
 
@@ -34,7 +34,8 @@ def run_cli(*argv, env_extra=None, timeout=300, stdin_text=None):
 
 
 def test_picture_commands_load_no_scipy(tribo_path, tmp_path):
-    # only the commands that build k-d trees may pay for importing scipy
+    # only the commands that build k-d trees may pay for importing scipy;
+    # `check` pairs the set equation's clouds by index and builds none
     csv = str(tmp_path / "cloud.csv")
     code = (
         "import sys\n"
@@ -47,6 +48,7 @@ def test_picture_commands_load_no_scipy(tribo_path, tmp_path):
         f"    ['fractal', '--subs', {tribo_path!r}, '--points', '500', '--out', {csv!r},\n"
         "     '--format', 'both', '--width', '64', '--height', '64'],\n"
         f"    ['render', '--in', {csv!r}, '--out', {csv!r} + '.ppm', '--width', '64', '--height', '64'],\n"
+        f"    ['check', '--subs', {tribo_path!r}],\n"
         "):\n"
         "    assert rauzy.cli.main(argv) == 0\n"
         "    assert not loaded(), (argv[0], loaded())\n"
@@ -298,6 +300,55 @@ def test_cover_grid_over_cap_refused(tribo_path, argv):
     assert proc.returncode == 4
     assert "coverage grid too fine" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cover_grid_refused_before_the_cloud(tribo_path, monkeypatch, capsys):
+    # the grid's size needs only the flags and d: no cloud is projected
+    from rauzy import cli
+
+    def project_prefixes(*args, **kwargs):
+        raise AssertionError("cloud built before the grid cap")
+
+    monkeypatch.setattr(cli, "project_prefixes", project_prefixes)
+    argv = ["cover", "--subs", tribo_path, "--points", "2000000", "--radius", "1e308", "--step", "1"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "coverage grid too fine" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gifs", "--depth", "1000000000", "--budget", "100"], "exceeds the cap of 1000"),
+        (["compare", "--depth", "1000000000", "--budget", "100"], "exceeds the cap of 1000"),
+        (["continuity", "--base", "(1)", "--variant", "(2)", "--n-max", "1000000000"], "exceed the cap of 1000"),
+    ],
+    ids=["gifs", "compare", "continuity"],
+)
+def test_work_caps_refused_before_compute(tribo_path, argv, message):
+    # linear in the flag's value, so run only if the refusal came first
+    proc = run_cli(argv[0], "--subs", tribo_path, *argv[1:], timeout=60)
+    assert proc.returncode == 4
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_work_caps_admit_their_bound():
+    parser = build_parser()
+    continuity = ["continuity", "--subs", "x", "--base", "(1)", "--variant", "(2)", "--n-min", "0"]
+    for argv in (
+        ["gifs", "--subs", "x", "--depth", str(MAX_DEPTH)],
+        [*continuity, "--n-max", str(MAX_CONTINUITY_ROWS - 1)],
+        [*continuity, "--n-max", str(5 * MAX_CONTINUITY_ROWS - 1), "--stride", "5"],
+    ):
+        _check_flags(parser.parse_args(argv))
+    for argv in (
+        ["compare", "--subs", "x", "--depth", str(MAX_DEPTH + 1)],
+        [*continuity, "--n-max", str(MAX_CONTINUITY_ROWS)],
+    ):
+        with pytest.raises(ResourceError):
+            _check_flags(parser.parse_args(argv))
 
 
 def test_budget_flag(tribo_path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -201,7 +201,14 @@ class Substitution:
     """A non-erasing morphism of the free monoid on letters 1..d.
 
     images[j-1] is the image word of letter j; row j of table holds it
-    padded with zeros, and apply() gathers a word's image from those rows.
+    padded with zeros to the longest image length L, and apply() gathers a
+    word's image from those rows.  prefix_counts[j, r] is the letter-count
+    vector of image(j)[:r] for r = 0..L (padding counts nothing), an int64
+    array of shape (d+1, L+1, d); its last column holds each image's
+    counts, the columns of the incidence matrix.  Each nonzero table[a, r]
+    is one image splitting image(a) = w p s with pivot p = table[a, r] and
+    l(w) = prefix_counts[a, r]; np.nonzero(table) lists the splittings in
+    table order, by letter, then by position.
     """
 
     alphabet: Alphabet
@@ -209,6 +216,7 @@ class Substitution:
     name: str = ""
     _matrix: IntMatrix = field(init=False, repr=False, compare=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    prefix_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.alphabet.size
@@ -218,14 +226,18 @@ class Substitution:
             if len(w) == 0:
                 raise ValueError(f"erasing substitution: letter {self.alphabet.char(j)} has empty image")
             validate_word(w, d)
-        cols = [abelianize(w, d) for w in self.images]
-        m = IntMatrix(tuple(zip(*cols)))  # M[i][j] = count of letter i+1 in image of j+1
-        object.__setattr__(self, "_matrix", m)
         table = np.zeros((d + 1, max(map(len, self.images))), dtype=np.uint8)
         for j, w in enumerate(self.images, start=1):
             table[j, : len(w)] = list(w)
-        table.flags.writeable = False
+        counts = np.zeros((d + 1, table.shape[1] + 1, d), dtype=np.int64)
+        counts[:, 1:] = table[:, :, None] == np.arange(1, d + 1, dtype=np.uint8)
+        np.cumsum(counts, axis=1, out=counts)  # in place: no second array of this size
+        for arr in (table, counts):
+            arr.flags.writeable = False
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "prefix_counts", counts)
+        # M[i][j] = count of letter i+1 in the image of j+1
+        object.__setattr__(self, "_matrix", IntMatrix(counts[1:, -1].T.tolist()))
 
     @property
     def d(self) -> int:
@@ -253,31 +265,6 @@ class Substitution:
         al = self.alphabet
         parts = [f"{al.char(j)} -> {al.text(self.images[j - 1])}" for j in range(1, self.d + 1)]
         return ", ".join(parts)
-
-
-class PrefixSuffixEntry(NamedTuple):
-    """One occurrence in an image word: image(letter) == prefix + pivot + suffix,
-    with pivot at 0-based index position."""
-
-    letter: int
-    position: int
-    prefix: bytes
-    pivot: int
-    suffix: bytes
-
-
-def prefix_suffix_table(sub: Substitution) -> list[PrefixSuffixEntry]:
-    """All splittings of all image words around a single occurrence.
-
-    Entries are ordered by source letter, then by position, and cover every
-    occurrence exactly once.
-    """
-    table = []
-    for j in range(1, sub.d + 1):
-        w = sub.image(j)
-        for pos in range(len(w)):
-            table.append(PrefixSuffixEntry(j, pos, w[:pos], w[pos], w[pos + 1 :]))
-    return table
 
 
 def wielandt_bound(d: int) -> int:

@@ -33,10 +33,10 @@ from .adic import (
 from .core import (
     DomainError,
     IntMatrix,
+    ParseError,
     ResourceError,
     Substitution,
     abelianize,
-    prefix_suffix_table,
 )
 from .spectral import (
     GammaLattice,
@@ -53,16 +53,18 @@ _MIN_BUDGET = 100
 
 
 def point_budget() -> int:
-    """Active point budget; RAUZY_POINT_BUDGET overrides the default."""
+    """Active point budget; RAUZY_POINT_BUDGET overrides the default.  A
+    value that is not an integer of at least _MIN_BUDGET is malformed input
+    (ParseError), as a bad `--budget` is."""
     raw = os.environ.get("RAUZY_POINT_BUDGET")
     if raw is None:
         return _DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
-        raise ResourceError(f"RAUZY_POINT_BUDGET must be an integer, got {raw!r}") from None
+        raise ParseError(f"RAUZY_POINT_BUDGET must be an integer, got {raw!r}") from None
     if value < _MIN_BUDGET:
-        raise ResourceError(f"RAUZY_POINT_BUDGET must be at least {_MIN_BUDGET}")
+        raise ParseError(f"RAUZY_POINT_BUDGET must be at least {_MIN_BUDGET}")
     return value
 
 
@@ -150,23 +152,15 @@ def project_word(sd: SpectralData, word: bytes) -> RauzyApprox:
     pts = centered @ sd.proj_coords.T
     points = _split_by_letter(pts, line.letters, sd.d)
     meta = {"n": len(word), "source_word_len": len(word)}
-    if len(word):
-        meta["max_adapted_norm"] = float(adapted_norms(sd, pts).max())
     return RauzyApprox(points=points, d=sd.d, source="projection", meta=meta)
 
 
 def prefix_bound_constant(sset: SubstitutionSet, sd: SpectralData) -> float:
-    """Largest adapted norm of a projected proper-prefix count vector over
-    all image splittings in the set; the projected stepped line of any limit
-    point stays within this over (1 - lam)."""
-    best = 0.0
-    for sub in sset.subs:
-        for entry in prefix_suffix_table(sub):
-            if not entry.prefix:
-                continue
-            y = project(sd, np.asarray(abelianize(entry.prefix, sd.d), dtype=float))
-            best = max(best, adapted_norm(sd, y))
-    return best
+    """Largest adapted norm of a GIFS edge translate, the projected count
+    vector of an image prefix, over all substitutions in the set; the
+    projected stepped line of any limit point stays within this over
+    (1 - lam)."""
+    return max(adapted_norm(sd, e.translate) for sub in sset.subs for e in build_gifs_edges(sub, sd))
 
 
 def project_prefixes(
@@ -186,6 +180,14 @@ def project_prefixes(
         raise ResourceError(f"requested {n_points} points exceeds budget {cap}")
     word = limit_point_prefix(seq, sset, n_points, chain_index=chain_index)
     approx = project_word(sd, word)
+    if word:
+        # the norms of the rows in word order, as one array: a matrix
+        # product's rounding can depend on the shape of its operand
+        letters = np.frombuffer(word, dtype=np.uint8)
+        pts = np.empty((len(word), sd.d - 1))
+        for i, cloud in approx.points.items():
+            pts[letters == i] = cloud
+        approx.meta["max_adapted_norm"] = float(adapted_norms(sd, pts).max())
     c = prefix_bound_constant(sset, sd)
     approx.meta.update(
         {
@@ -348,11 +350,7 @@ def verify_all_prefix_identities(
         # the letter at position t of the level-j word is the pivot of its split
         if not np.array_equal(images[idx, rest], np.frombuffer(words[j], dtype=np.uint8)[: top + 1]):
             raise AssertionError("split pivots disagree with the level word")
-        # prefix_counts[letter, r] = l(image(letter)[:r])
-        prefix_counts = np.zeros((d + 1, sub.table.shape[1] + 1, d), dtype=np.int64)
-        one_hot = sub.table[:, :, None] == np.arange(1, d + 1, dtype=np.uint8)
-        np.cumsum(one_hot, axis=1, out=prefix_counts[:, 1:])
-        levels.append((idx, prefix_counts[level_word[idx], rest]))
+        levels.append((idx, sub.prefix_counts[level_word[idx], rest]))
         top = int(idx[-1])
     if top:
         raise AssertionError("prefix peel did not terminate within the deepened levels")
@@ -384,20 +382,23 @@ class GifsEdge:
 
 
 def build_gifs_edges(sub: Substitution, sd: SpectralData) -> list[GifsEdge]:
-    """Edges of the set equation for one outermost substitution, in
-    `prefix_suffix_table` order."""
-    edges = []
-    for entry in prefix_suffix_table(sub):
-        tr = project(sd, np.asarray(abelianize(entry.prefix, sd.d), dtype=float))
-        edges.append(GifsEdge(src=entry.letter, position=entry.position, pivot=entry.pivot, translate=tr))
-    return edges
+    """Edges of the set equation for one outermost substitution, one per
+    nonzero entry table[a, r] of `sub.table`, in table order (by source
+    letter a, then by position r): pivot table[a, r], translate the
+    projection of prefix_counts[a, r]."""
+    table = sub.table
+    return [
+        GifsEdge(int(a), int(r), int(table[a, r]), project(sd, sub.prefix_counts[a, r]))
+        for a, r in zip(*np.nonzero(table))
+    ]
 
 
 def _gifs_layout(edges: list[GifsEdge], counts: dict[int, int]) -> tuple[dict[int, int], list[int]]:
     """Where `gifs_step` writes a level: the size of each pivot's array, and
     the row of its pivot's array at which each edge's mapped copy of its
     source subtile (counts[src] rows) starts.  Edges fill their pivot's
-    array in list order."""
+    array in list order, which for `build_gifs_edges` is table order: by
+    source letter, then by position in the image."""
     sizes = dict.fromkeys(counts, 0)
     starts = []
     for edge in edges:
@@ -822,8 +823,7 @@ def set_equation_check(
     edges = build_gifs_edges(sub0, sd)
     _, starts = _gifs_layout(edges, {a: len(source.points[a]) for a in range(1, d + 1)})
     edge_start = np.zeros(sub0.table.shape, dtype=np.intp)
-    for edge, start in zip(edges, starts):
-        edge_start[edge.src, edge.position] = start
+    edge_start[np.nonzero(sub0.table)] = starts  # edges come in table order
     rows = edge_start[letters[s], j] + rank[s]
     pivots = images[s, j]
     per = {}

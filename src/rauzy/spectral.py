@@ -54,17 +54,10 @@ class CharPoly:
     def eval_matrix(self, m: IntMatrix) -> IntMatrix:
         """p(M), exactly; the zero matrix when p is the characteristic
         polynomial of M."""
-        n = m.n
-        rows = [[0] * n for _ in range(n)]
+        acc = IntMatrix([[0] * m.n] * m.n)
         for c in reversed(self.coeffs):
-            nxt = [
-                [sum(rows[i][k] * m.rows[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            for i in range(n):
-                nxt[i][i] += c
-            rows = nxt
-        return IntMatrix(tuple(tuple(r) for r in rows))
+            acc = _plus_identity(acc @ m, c)
+        return acc
 
     def derivative_at(self, x: float) -> float:
         acc = 0.0
@@ -81,15 +74,9 @@ class CharPoly:
             c = self.coeffs[k]
             if c == 0:
                 continue
-            mag = abs(c)
-            if k == self.degree:
-                term = "" if mag == 1 else str(mag)
-            elif k > 0:
-                term = "" if mag == 1 else f"{mag}"
-            else:
-                term = str(mag)
+            term = "" if abs(c) == 1 and k > 0 else str(abs(c))
             var = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            body = f"{term}{var}" if (term == "" or var == "") else f"{term}{var}"
+            body = f"{term}{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -97,25 +84,23 @@ class CharPoly:
         return " ".join(parts) if parts else "0"
 
 
+def _plus_identity(m: IntMatrix, c: int) -> IntMatrix:
+    """m + c I, exactly."""
+    return IntMatrix([[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.rows)])
+
+
 def char_poly(m: IntMatrix) -> CharPoly:
     """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier
     recurrence, exactly over the integers."""
     n = m.n
-    a = [list(r) for r in m.rows]
-
-    def matmul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
     # Invariant: entering step k >= 2, prod == A @ N_{k-1}; then
     # N_k = A @ N_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(A @ N_k) / k.
     desc = [1]
-    prod = [row[:] for row in a]  # A @ N_1 with N_1 = I
+    prod = m  # A @ N_1 with N_1 = I
     for k in range(1, n + 1):
         if k > 1:
-            for i in range(n):
-                prod[i][i] += desc[k - 1]
-            prod = matmul(a, prod)
-        tr = sum(prod[i][i] for i in range(n))
+            prod = m @ _plus_identity(prod, desc[k - 1])
+        tr = sum(prod.rows[i][i] for i in range(n))
         if tr % k != 0:
             raise ArithmeticError("Faddeev-LeVerrier division not exact")
         desc.append(-(tr // k))

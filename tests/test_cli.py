@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,11 +364,15 @@ def test_budget_env(tribo_path):
         env_extra={"RAUZY_POINT_BUDGET": "1000"},
     )
     assert proc.returncode == 4
-    proc = run_cli(
-        "fractal", "--subs", tribo_path, "--points", "200",
-        env_extra={"RAUZY_POINT_BUDGET": "50"},
-    )
-    assert proc.returncode == 4
+    # a malformed or too-small budget is malformed input, as `--budget 50` is
+    for command, size in (("fractal", "--points"), ("gifs", "--depth")):
+        for value in ("many", "50"):
+            proc = run_cli(
+                command, "--subs", tribo_path, size, "5", env_extra={"RAUZY_POINT_BUDGET": value}
+            )
+            assert proc.returncode == 2, (command, value)
+            assert proc.stdout == ""
+            assert "RAUZY_POINT_BUDGET" in proc.stderr
 
 
 def test_stalling_sequence_exhausts(sturmian_path):
@@ -452,7 +457,7 @@ def test_fractal_deterministic_bytes(tribo_path, tmp_path):
             "--points", "2000", "--out", path, "--format", "csv",
         )
         assert proc.returncode == 0
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 def test_gifs_reports_bounds(tribo_path):

@@ -11,7 +11,6 @@ from rauzy.core import (
     Substitution,
     abelianize,
     parse_substitution_set,
-    prefix_suffix_table,
     primitivity_exponent,
     validate_word,
     wielandt_bound,
@@ -155,17 +154,6 @@ def test_substitution_morphism_fuzz():
         v = bytes(rng.randrange(1, 4) for _ in range(n2))
         assert s.apply(u + v) == s.apply(u) + s.apply(v)
         assert abelianize(s.apply(u), 3) == m.times_vec(abelianize(u, 3))
-
-
-def test_prefix_suffix_table_reconstructs_images():
-    s = tribo()
-    table = prefix_suffix_table(s)
-    assert len(table) == sum(len(s.image(c)) for c in (1, 2, 3))
-    for entry in table:
-        img = s.image(entry.letter)
-        assert img == entry.prefix + bytes([entry.pivot]) + entry.suffix
-        assert img[entry.position] == entry.pivot
-        assert len(entry.prefix) == entry.position
 
 
 # ---------------------------------------------------------------------------

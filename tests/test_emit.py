@@ -1,6 +1,7 @@
 """Serialization and rendering tests: CSV round trips and PPM rasters."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ def test_csv_write_deterministic(tribo_set, tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_points_csv(approx, p1)
     write_points_csv(approx, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def _write(tmp_path, name, text):

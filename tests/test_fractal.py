@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from rauzy.adic import DirectiveSequence, SubstitutionSet, limit_point_prefix, parse_sequence_spec
-from rauzy.core import DomainError, ResourceError, Substitution, abelianize, load_substitution_file
+from rauzy.core import (
+    Alphabet,
+    DomainError,
+    ParseError,
+    ResourceError,
+    Substitution,
+    abelianize,
+    load_substitution_file,
+)
 from rauzy.fractal import (
     RauzyApprox,
     build_gifs_edges,
@@ -138,11 +146,12 @@ def test_point_budget_env(monkeypatch):
     assert default >= 1_000_000
     monkeypatch.setenv("RAUZY_POINT_BUDGET", "123456")
     assert point_budget() == 123456
+    # a malformed or too-small value is malformed input, as a bad --budget is
     monkeypatch.setenv("RAUZY_POINT_BUDGET", "99")
-    with pytest.raises(ResourceError):
+    with pytest.raises(ParseError):
         point_budget()
     monkeypatch.setenv("RAUZY_POINT_BUDGET", "many")
-    with pytest.raises(ResourceError):
+    with pytest.raises(ParseError):
         point_budget()
 
 
@@ -237,6 +246,44 @@ def test_build_gifs_edges_counts(tribo_set, tribo_sd):
     # every first-image-letter edge translates by zero
     zero = [e for e in edges if np.allclose(e.translate, 0.0)]
     assert len(zero) == 3
+
+
+def _bonacci(k):
+    """a -> ab, b -> ac, ..., the k-th letter -> a."""
+    return tuple(bytes([1, j + 1]) for j in range(1, k)) + (b"\x01",)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [_bonacci(2)],  # Fibonacci
+        [_bonacci(3), (b"\x01\x02", b"\x03\x01", b"\x01")],  # the tribo pair
+        [(b"\x02", b"\x03", b"\x01\x02"), (b"\x02", b"\x03", b"\x02\x01")],  # plastic pair
+        [_bonacci(4)],
+        [_bonacci(5)],
+        [_bonacci(6)],
+    ],
+    ids=["fib", "tribo", "plastic", "4-bonacci", "5-bonacci", "6-bonacci"],
+)
+def test_prefix_counts_and_gifs_edges_from_the_table(images):
+    d = len(images[0])
+    subs = [Substitution(Alphabet.default(d), imgs) for imgs in images]
+    sd = SubstitutionSet(subs).spectral()
+    for sub in subs:
+        width = max(len(sub.image(j)) for j in range(1, d + 1))
+        assert sub.prefix_counts.shape == (d + 1, width + 1, d)
+        for j in range(1, d + 1):
+            # r past the image's length reads the padded table
+            for r in range(width + 1):
+                assert tuple(sub.prefix_counts[j, r]) == abelianize(sub.image(j)[:r], d)
+        cols = [abelianize(sub.image(j), d) for j in range(1, d + 1)]
+        assert sub.incidence_matrix().rows == tuple(zip(*cols))
+        want = [(a, r, p) for a in range(1, d + 1) for r, p in enumerate(sub.image(a))]
+        edges = build_gifs_edges(sub, sd)
+        assert [(e.src, e.position, e.pivot) for e in edges] == want
+        for e in edges:
+            prefix = sub.image(e.src)[: e.position]
+            assert e.translate.tobytes() == project(sd, np.asarray(abelianize(prefix, d), dtype=float)).tobytes()
 
 
 def test_gifs_step_from_origins(tribo_set, tribo_sd):

@@ -37,6 +37,7 @@ from .fractal import (
     coverage_grid_steps,
     gifs_attractor,
     invariant_checks,
+    point_budget,
     project_prefixes,
 )
 from .spectral import char_poly, gamma_generators, is_irreducible_charpoly
@@ -71,6 +72,9 @@ def _sibling(path: str, ext: str) -> str:
 # work is linear in the GIFS depth and in the number of continuity rows
 MAX_DEPTH = 1000
 MAX_CONTINUITY_ROWS = 1000
+# the commands that build a cloud, and so read RAUZY_POINT_BUDGET when no
+# --budget is given
+_BUDGETED = ("fractal", "gifs", "compare", "continuity", "cover", "check")
 
 
 def _check_flags(args) -> None:
@@ -81,6 +85,8 @@ def _check_flags(args) -> None:
         raise ParseError("--chain must be nonnegative")
     if getattr(args, "budget", None) is not None and args.budget < _MIN_BUDGET:
         raise ParseError(f"--budget must be at least {_MIN_BUDGET}")
+    if args.cmd in _BUDGETED and getattr(args, "budget", None) is None:
+        point_budget()  # a malformed RAUZY_POINT_BUDGET is refused with the flags
     if hasattr(args, "len"):
         if args.len < 1:
             raise ParseError("--len must be at least 1")

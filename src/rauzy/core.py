@@ -196,6 +196,11 @@ class IntMatrix:
 # substitutions
 
 
+# entries of prefix_counts a substitution may have, (d+1)(L+1)d for d
+# letters and longest image L: 32 MiB of int64, checked before allocating
+MAX_PREFIX_ENTRIES = 1 << 22
+
+
 @dataclass(frozen=True)
 class Substitution:
     """A non-erasing morphism of the free monoid on letters 1..d.
@@ -208,7 +213,9 @@ class Substitution:
     counts, the columns of the incidence matrix.  Each nonzero table[a, r]
     is one image splitting image(a) = w p s with pivot p = table[a, r] and
     l(w) = prefix_counts[a, r]; np.nonzero(table) lists the splittings in
-    table order, by letter, then by position.
+    table order, by letter, then by position.  A prefix_counts of more than
+    MAX_PREFIX_ENTRIES entries is refused (ResourceError) before anything
+    is allocated.
     """
 
     alphabet: Alphabet
@@ -226,7 +233,13 @@ class Substitution:
             if len(w) == 0:
                 raise ValueError(f"erasing substitution: letter {self.alphabet.char(j)} has empty image")
             validate_word(w, d)
-        table = np.zeros((d + 1, max(map(len, self.images))), dtype=np.uint8)
+        longest = max(map(len, self.images))
+        entries = (d + 1) * (longest + 1) * d
+        if entries > MAX_PREFIX_ENTRIES:
+            raise ResourceError(
+                f"the image-splitting table needs {entries} entries, over the cap of {MAX_PREFIX_ENTRIES}"
+            )
+        table = np.zeros((d + 1, longest), dtype=np.uint8)
         for j, w in enumerate(self.images, start=1):
             table[j, : len(w)] = list(w)
         counts = np.zeros((d + 1, table.shape[1] + 1, d), dtype=np.int64)

@@ -7,8 +7,12 @@ in numpy: an error-free product gives each float's 17 digits exactly, and
 the few floats it cannot certify are formatted by format() into the same
 byte matrix.  Files are read once and parsed a block of rows at a time in
 numpy; each parsed float is certified by the writer's own digits, and the
-few it cannot certify go through float().  A file that parser refuses is
-read line by line, which defines a valid file and names the first bad line.
+few it cannot certify go through float().  The rows are counted first, so
+each block is written into its slice of one letters array and one
+coordinates array: at its peak the reader holds the file's bytes, those
+two arrays (8(k+1) bytes per row) and one block's temporaries.  A file
+that parser refuses is read line by line, which defines a valid file and
+names the first bad line.
 Images are binary PPM (P6), painted letter by letter in ascending order so
 output bytes are a pure function of the input cloud.
 """
@@ -29,8 +33,13 @@ from .fractal import RauzyApprox, _split_by_letter
 _BASE_COLORS = [(230, 57, 70), (69, 123, 157), (42, 157, 143)]
 _GOLDEN_ANGLE = 137.50776405003785
 _CHUNK_ROWS = 65_536
-# bytes of body the reader parses at a time, up to the next newline
-_BLOCK_BYTES = 1 << 18
+# bytes of body the reader parses at a time, up to the next newline.  A
+# block's temporaries are a few hundred bytes per row; for rows of 17-digit
+# fields each stays below glibc's 128 KiB mmap threshold, so the heap
+# reuses them from block to block.  A fresh `render` of a 1M-row file takes
+# about 22k minor faults, against 49k at 128 KiB and 82k at 256 KiB, for
+# the same CPU time.
+_BLOCK_BYTES = 96 << 10
 # printable ASCII except the space, and the newline
 _PLAIN_BYTES = bytes(range(33, 127)) + b"\n"
 # largest image the CLI renders: a 4096x4096 raster is 48 MiB
@@ -292,31 +301,51 @@ def _parse_fields(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     words = windows[ends - _FIELD].view(_WORD).reshape(ends.shape + (3,))
     neg = buf[starts] == ord("-")
     size = ends - starts - neg
-    b = (words ^ _ZERO) & t.window_tail.take(np.minimum(size, _FIELD), axis=0)
-    dots = ~((b ^ _DOT) + 0x7F * _BYTES) & _TOP
-    b ^= (dots >> 7) * (ord(".") ^ ord("0"))
-    over = (b + 0x76 * _BYTES) & _TOP
-    # one bit per dot, bit 8 * j + w for byte j of word w; the highest, read
-    # off the float's exponent, places a dot at byte 8 * w + j
-    marks = dots[..., 0] >> 7 | dots[..., 1] >> 6 | dots[..., 2] >> 5
+    # the word arithmetic runs in place on words (b) and one work array of
+    # its shape (w), so a block holds two such arrays rather than a dozen
+    b = words
+    b ^= _ZERO
+    b &= t.window_tail.take(np.minimum(size, _FIELD), axis=0)
+    w = b ^ _DOT
+    w += 0x7F * _BYTES
+    np.invert(w, out=w)
+    w &= _TOP
+    # w marks the dots: one bit per dot, bit 8 * j + v for byte j of word v;
+    # the highest, read off the float's exponent, places a dot at byte 8 * v + j
+    marks = w[..., 0] >> 7 | w[..., 1] >> 6 | w[..., 2] >> 5
     has_dot = marks != 0
     bit = (marks.astype(np.float64).view(np.int64) >> 52) - 1023
     q = np.where(has_dot, _FIELD - 1 - 8 * (bit & 7) - (bit >> 3), 0)
+    w >>= 7
+    w *= ord(".") ^ ord("0")
+    b ^= w
+    np.add(b, 0x76 * _BYTES, out=w)
+    w &= _TOP
+    digits_only = (w[..., 0] | w[..., 1] | w[..., 2]) == 0
 
     # eight digits to their value: each byte pair to two digits in its low
     # byte, then the four pairs at once into the high half
-    b = b * 10 + (b >> 8)
+    np.right_shift(b, 8, out=w)
+    b *= 10
+    b += w
     pairs = 0x000000FF000000FF
-    b = ((b & pairs) * (100 + (10**6 << 32)) + ((b >> 16) & pairs) * (1 + (10**4 << 32))) >> 32
+    np.right_shift(b, 16, out=w)
+    w &= pairs
+    w *= 1 + (10**4 << 32)
+    b &= pairs
+    b *= 100 + (10**6 << 32)
+    b += w
+    b >>= 32
     g = b.view(np.int64)
     plain = (
-        ((over[..., 0] | over[..., 1] | over[..., 2]) == 0)
+        digits_only
         & (marks & (marks - 1) == 0)
         & (size - has_dot > 0)
         & (size <= _FIELD)
         & (g[..., 0] < 100)
     )
     whole = np.where(plain, g[..., 0] * 10**16 + g[..., 1] * 10**8 + g[..., 2], 0)
+    del words, b, w, g  # freed before the certificate's temporaries
     head = whole // t.pow10[np.where(has_dot, np.minimum(q + 1, 18), 18)]
     digits = whole - 9 * head * t.pow10[np.minimum(q, 18)]
     y = (digits / t.pow10_long[q]).astype(np.float64)
@@ -330,17 +359,25 @@ def _parse_fields(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     return y, exact
 
 
-def _parse_block(data: bytes, pos: int, stop: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_block(
+    data: bytes, pos: int, stop: int, k: int, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The rows of data[pos:stop], which starts a line and ends at a newline
     or at the end of the file; None when some row has other than k + 1
     fields or a field that int() or float() refuses, a letter outside
-    1..k+1 or a non-finite coordinate."""
+    1..k+1 or a non-finite coordinate.  work is the file's block buffer,
+    _FIELD zero bytes and then room for the block and a closing newline;
+    its head stays zero."""
     n = stop - pos
-    buf = np.zeros(_FIELD + n + (data[stop - 1] != ord("\n")), dtype=np.uint8)
+    buf = work[: _FIELD + n + (data[stop - 1] != ord("\n"))]
     buf[_FIELD : _FIELD + n] = np.frombuffer(data, np.uint8, n, pos)
     buf[-1] = ord("\n")
     body = buf[_FIELD:]
-    seps = np.flatnonzero((body == ord(",")) | (body == ord("\n"))) + _FIELD
+    is_sep = body == ord(",")
+    is_sep |= body == ord("\n")
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    seps += _FIELD
     if len(seps) % (k + 1):
         return None
     seps = seps.reshape(-1, k + 1)
@@ -379,20 +416,33 @@ def _read_body(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     None when the file holds a byte other than a newline or printable ASCII
     bar the space, or a block is refused.  On those bytes the line-by-line
     reader splits rows and fields as this parser does; on others it need
-    not: a carriage return, for one, ends its lines."""
-    if data.translate(None, _PLAIN_BYTES):
-        return None
+    not: a carriage return, for one, ends its lines.
+
+    A parsed block has one row per line, and a blank line is refused, so
+    the rows are counted from the newlines up front and each block is
+    written into its slice of the output arrays; one block buffer, sized
+    for the largest block, serves every block."""
     pos = data.find(b"\n") + 1 or len(data)
-    letters, coords = [np.zeros(0, dtype=np.int64)], [np.zeros((0, k))]
-    while pos < len(data):
-        stop = data.find(b"\n", pos + _BLOCK_BYTES) + 1 or len(data)
-        block = _parse_block(data, pos, stop, k)
+    bounds = [pos]
+    while bounds[-1] < len(data):
+        bounds.append(data.find(b"\n", bounds[-1] + _BLOCK_BYTES) + 1 or len(data))
+    # the header and then block by block: translate() allocates a result
+    # the size of its input, so the whole file at once would hold it twice
+    if any(data[a:b].translate(None, _PLAIN_BYTES) for a, b in zip([0] + bounds, bounds)):
+        return None
+    rows = data.count(b"\n", pos) + (pos < len(data) and data[-1] != ord("\n"))
+    letters, coords = np.empty(rows, dtype=np.int64), np.empty((rows, k))
+    largest = max((b - a for a, b in zip(bounds, bounds[1:])), default=0)
+    work = np.zeros(_FIELD + largest + 1, dtype=np.uint8)
+    at = 0
+    for start, stop in zip(bounds, bounds[1:]):
+        block = _parse_block(data, start, stop, k, work)
         if block is None:
             return None
-        letters.append(block[0])
-        coords.append(block[1])
-        pos = stop
-    return np.concatenate(letters), np.concatenate(coords)
+        m = len(block[0])
+        letters[at : at + m], coords[at : at + m] = block
+        at += m
+    return letters, coords
 
 
 def _parse_rows(f, path: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +476,11 @@ def read_points_csv(path: str) -> RauzyApprox:
     reads as well as a file.  The line-by-line reader defines which files
     are valid; the numpy parser takes the files it reads the same way, and
     a file that parser refuses is read line by line from the same bytes for
-    the verdict."""
+    the verdict.
+
+    The numpy parser holds the file's bytes and the parsed rows once each,
+    8(k+1) bytes per row for k coordinates; the bytes are dropped before
+    the rows are split by letter, which copies the coordinates."""
     with open(path, "rb") as f:
         data = f.read()
     # a non-ASCII byte decodes to U+FFFD, which fails the header or row checks
@@ -437,6 +491,8 @@ def read_points_csv(path: str) -> RauzyApprox:
         raise ParseError(f"{path}: not a points CSV (header {header!r})")
     k = len(cols) - 1
     letters, coords = _read_body(data, k) or _parse_rows(text, path, k)
+    # the file's bytes go before the split, which copies the coordinates
+    del data, text
     if not len(letters):
         raise ParseError(f"{path}: no points")
     d = k + 1

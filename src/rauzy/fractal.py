@@ -137,6 +137,36 @@ def _split_by_letter(pts: np.ndarray, letters: np.ndarray, d: int) -> dict[int, 
     return {i: np.ascontiguousarray(pts[letters == i]) for i in range(1, d + 1)}
 
 
+# rows of the stepped line centred at a time: 1.5 MB of float temporaries at d = 3
+_CENTER_ROWS = 65_536
+
+
+def _project_line(sd: SpectralData, word: bytes) -> np.ndarray:
+    """The projected stepped-line vertices 0..n-1 of word, in word order:
+    an (n, d-1) array whose row t is the projection of l(word[:t]).
+
+    The counts are built in the one float (n, d) array the matrix product
+    reads: a 1 per row for the letter before it, summed in place.  The sums
+    are integers below 2**53, so each is exact and equals the int64 count
+    converted to float.  Then t * u is subtracted from row t, a chunk of
+    rows at a time, which gives the same bits as one full-size subtraction.
+    The product itself is taken on the full operand, since its rounding can
+    depend on the operand's shape.  At its peak the call holds that operand
+    and the result: 8 * (2d - 1) bytes per point."""
+    n, d = len(word), sd.d
+    letters = np.frombuffer(word, dtype=np.uint8)
+    if n and (letters.min() < 1 or letters.max() > d):
+        raise ValueError("word contains letters outside 1..d")
+    centered = np.zeros((n, d))
+    for j in range(d):
+        centered[1:, j] = letters[:-1] == j + 1
+    np.cumsum(centered, axis=0, out=centered)
+    for start in range(0, n, _CENTER_ROWS):
+        rows = centered[start : start + _CENTER_ROWS]
+        rows -= np.arange(start, start + len(rows), dtype=float)[:, None] * sd.u
+    return centered @ sd.proj_coords.T
+
+
 def project_word(sd: SpectralData, word: bytes) -> RauzyApprox:
     """Project the stepped-line vertices of word; vertex t joins the subtile
     of the letter word[t] that follows it.
@@ -145,12 +175,12 @@ def project_word(sd: SpectralData, word: bytes) -> RauzyApprox:
     subtracted from vertex t before the matrix product.  That keeps the
     intermediate entries bounded instead of growing linearly with t, which
     would otherwise lose about six digits to cancellation on long words.
+    The vertices are counted in float, exactly (see _project_line), so the
+    call never holds the int64 stepped line: its peak is the float counts
+    and their projection, then the projection and its split by letter.
     """
-    line = stepped_line(word, sd.d)
-    centered = line.vertices[:-1].astype(float)
-    centered -= np.arange(len(word), dtype=float)[:, None] * sd.u
-    pts = centered @ sd.proj_coords.T
-    points = _split_by_letter(pts, line.letters, sd.d)
+    pts = _project_line(sd, word)
+    points = _split_by_letter(pts, np.frombuffer(word, dtype=np.uint8), sd.d)
     meta = {"n": len(word), "source_word_len": len(word)}
     return RauzyApprox(points=points, d=sd.d, source="projection", meta=meta)
 
@@ -179,15 +209,14 @@ def project_prefixes(
     if n_points > cap:
         raise ResourceError(f"requested {n_points} points exceeds budget {cap}")
     word = limit_point_prefix(seq, sset, n_points, chain_index=chain_index)
-    approx = project_word(sd, word)
+    pts = _project_line(sd, word)
+    meta = {"n": len(word), "source_word_len": len(word)}
     if word:
-        # the norms of the rows in word order, as one array: a matrix
+        # the norms of the rows in word order, before the split: a matrix
         # product's rounding can depend on the shape of its operand
-        letters = np.frombuffer(word, dtype=np.uint8)
-        pts = np.empty((len(word), sd.d - 1))
-        for i, cloud in approx.points.items():
-            pts[letters == i] = cloud
-        approx.meta["max_adapted_norm"] = float(adapted_norms(sd, pts).max())
+        meta["max_adapted_norm"] = float(adapted_norms(sd, pts).max())
+    points = _split_by_letter(pts, np.frombuffer(word, dtype=np.uint8), sd.d)
+    approx = RauzyApprox(points=points, d=sd.d, source="projection", meta=meta)
     c = prefix_bound_constant(sset, sd)
     approx.meta.update(
         {

@@ -414,8 +414,13 @@ def adapted_norm(sd: SpectralData, y) -> float:
 
 
 def adapted_norms(sd: SpectralData, ys: np.ndarray) -> np.ndarray:
-    """Row-wise adapted norms for a batch of shape (n, d-1)."""
-    return np.linalg.norm(np.asarray(ys, dtype=float) @ _transform(sd).T, axis=1)
+    """Row-wise adapted norms for a batch of shape (n, d-1).  The rows in
+    the adapted frame are squared in place and summed, the operations and
+    order of np.linalg.norm(axis=1), so the call holds one (n, d-1) array
+    beside its input rather than three."""
+    y = np.asarray(ys, dtype=float) @ _transform(sd).T
+    np.multiply(y, y, out=y)
+    return np.sqrt(np.add.reduce(y, axis=1))
 
 
 def to_adapted(sd: SpectralData, ys: np.ndarray) -> np.ndarray:

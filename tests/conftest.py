@@ -9,6 +9,8 @@ and 5-bonacci sets are unimodular Pisot at d = 2, 3 and 5; the plastic pair
 (x^3 - x - 1) is not k-bonacci.
 """
 
+import tracemalloc
+
 import pytest
 
 from rauzy.adic import SubstitutionSet
@@ -160,3 +162,20 @@ def doubling_set(data_dir):
 @pytest.fixture(scope="session")
 def tetra_set(data_dir):
     return SubstitutionSet(load_substitution_file(str(data_dir / "tetra.subs")))
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn() under tracemalloc and returns its result
+    and the peak bytes allocated during the call; tracing stops even when
+    fn raises."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

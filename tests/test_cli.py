@@ -11,7 +11,7 @@ import pytest
 
 from rauzy.adic import SubstitutionSet, parse_sequence_spec
 from rauzy.cli import MAX_CONTINUITY_ROWS, MAX_DEPTH, _check_flags, build_parser, main
-from rauzy.core import ResourceError, load_substitution_file
+from rauzy.core import ParseError, ResourceError, load_substitution_file
 from rauzy.fractal import invariant_checks
 
 
@@ -373,6 +373,57 @@ def test_budget_env(tribo_path):
             assert proc.returncode == 2, (command, value)
             assert proc.stdout == ""
             assert "RAUZY_POINT_BUDGET" in proc.stderr
+
+
+def test_budget_env_refused_before_input(quartic_path):
+    # the shiftup file is not Pisot, which is exit 3 once a cloud is built;
+    # the malformed budget is refused first, with the flags
+    proc = run_cli("fractal", "--subs", quartic_path, env_extra={"RAUZY_POINT_BUDGET": "many"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RAUZY_POINT_BUDGET" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fractal"],
+        ["gifs"],
+        ["compare"],
+        ["continuity", "--base", "(1)", "--variant", "(2)"],
+        ["cover"],
+        ["check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_env_checked_with_the_flags(argv, monkeypatch):
+    parser = build_parser()
+    monkeypatch.setenv("RAUZY_POINT_BUDGET", "many")
+    with pytest.raises(ParseError, match="RAUZY_POINT_BUDGET"):
+        _check_flags(parser.parse_args([argv[0], "--subs", "unread.subs", *argv[1:]]))
+    if argv[0] not in ("continuity", "check"):
+        # --budget replaces the variable, which is then never read
+        _check_flags(parser.parse_args([argv[0], "--subs", "unread.subs", "--budget", "100"]))
+
+
+def test_budget_env_not_read_without_a_cloud(monkeypatch):
+    parser = build_parser()
+    monkeypatch.setenv("RAUZY_POINT_BUDGET", "many")
+    for argv in (["info", "--subs", "x"], ["balance", "--subs", "x"], ["render", "--in", "x", "--out", "y"]):
+        _check_flags(parser.parse_args(argv))
+
+
+def test_info_refuses_an_oversized_splitting_table(tmp_path):
+    # 62 letters and one 2000-letter image: 63 * 2001 * 62 table entries,
+    # over the 2^22 cap, refused before the table is built
+    symbols = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    rules = [f"0 -> {'1' * 1999}0"] + [f"{c} -> {symbols[(i + 2) % 62]}" for i, c in enumerate(symbols[1:])]
+    path = tmp_path / "wide.subs"
+    path.write_text(f"alphabet: {symbols}\n\n[sub wide]\n" + "\n".join(rules) + "\n")
+    proc = run_cli("info", "--subs", str(path))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "image-splitting table" in proc.stderr
 
 
 def test_stalling_sequence_exhausts(sturmian_path):

@@ -7,7 +7,9 @@ import pytest
 from rauzy.core import (
     Alphabet,
     IntMatrix,
+    MAX_PREFIX_ENTRIES,
     ParseError,
+    ResourceError,
     Substitution,
     abelianize,
     parse_substitution_set,
@@ -142,6 +144,26 @@ def test_substitution_rejects_erasing():
     al = Alphabet("ab")
     with pytest.raises(ValueError, match="erasing substitution"):
         Substitution(al, (b"\x01\x02", b""), "bad")
+
+
+def test_substitution_refuses_an_oversized_splitting_table(traced_peak):
+    # 62 letters and one 2000-letter image: (d+1)(L+1)d = 7,815,906 entries
+    # of prefix_counts, 62 MB of int64, refused before anything is built
+    al = Alphabet("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    images = (bytes([2] * 1999 + [1]),) + tuple(bytes([j % 62 + 1]) for j in range(2, 63))
+
+    def build():
+        with pytest.raises(ResourceError, match="image-splitting table"):
+            Substitution(al, images)
+
+    _, peak = traced_peak(build)
+    assert peak < 1 << 20
+    # at d = 2 the table has 6(L + 1) entries: L = 699049 is the longest
+    # image under the cap
+    fits = Substitution(Alphabet.default(2), (b"\x01" + b"\x02" * 699_048, b"\x01"))
+    assert fits.prefix_counts.size == 6 * 699_050 <= MAX_PREFIX_ENTRIES
+    with pytest.raises(ResourceError):
+        Substitution(Alphabet.default(2), (b"\x01" + b"\x02" * 699_049, b"\x01"))
 
 
 def test_substitution_morphism_fuzz():

@@ -233,15 +233,18 @@ def test_csv_cloud_values_take_the_numpy_reader(candidate, tribo_set, tmp_path, 
     assert len(calls) <= 0.01 * values
 
 
+def _bulk_only(monkeypatch):
+    def line_reader(*args):
+        raise AssertionError("the file fell back to the line-by-line reader")
+
+    monkeypatch.setattr(emit, "_parse_rows", line_reader)
+
+
 def test_csv_written_files_take_the_bulk_reader(tribo_set, tmp_path, monkeypatch):
     approx = project_prefixes(CONST_1, tribo_set, 2000)
     path = str(tmp_path / "cloud.csv")
     write_points_csv(approx, path)
-
-    def line_reader(*args):
-        raise AssertionError("a written file fell back to the line-by-line reader")
-
-    monkeypatch.setattr(emit, "_parse_rows", line_reader)
+    _bulk_only(monkeypatch)
     back = read_points_csv(path)
     for i in (1, 2, 3):
         assert np.array_equal(back.points[i], approx.points[i])
@@ -419,6 +422,58 @@ def test_certificate_is_exact_integer_arithmetic():
     # around to the same integer in 64 bits
     assert not emit._certified(np.array([1.5]), np.array([15 + 2**49]), np.array([1]))[0]
     assert emit._certified(np.array([1.5]), np.array([15]), np.array([1]))[0]
+
+
+def _rows(letters, rng):
+    """One CSV row of two random coordinates per letter."""
+    return "".join(
+        f"{a}," + ",".join(format(v, ".17g") for v in rng.normal(size=2) * 10.0 ** rng.integers(-6, 6, size=2)) + "\n"
+        for a in letters
+    )
+
+
+# Blocks of 64 bytes hold one or two rows each, so every file below spans
+# many blocks, each written into its slice of the preallocated rows.
+def test_csv_reader_blocks_unsorted_letters(tmp_path, monkeypatch):
+    monkeypatch.setattr(emit, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(5)
+    path = _write(tmp_path, "unsorted.csv", "letter,x1,x2\n" + _rows([3, 1, 2, 1, 3, 3, 2] * 7, rng))
+    _bulk_only(monkeypatch)
+    _assert_reads_as_reference(path, 2)
+
+
+def test_csv_reader_blocks_last_row_without_newline(tmp_path, monkeypatch):
+    monkeypatch.setattr(emit, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(6)
+    path = _write(tmp_path, "open.csv", "letter,x1,x2\n" + _rows([2, 1, 3] * 15, rng).rstrip("\n"))
+    _bulk_only(monkeypatch)
+    _assert_reads_as_reference(path, 2)
+    assert read_points_csv(path).total() == 45
+
+
+@pytest.mark.parametrize("bad", ["2,zero,0.5\n", "\n", "7,0.5,0.5\n", "1,0.5\n"])
+def test_csv_reader_blocks_refused_partway(bad, tmp_path, monkeypatch):
+    # the numpy parser takes the first blocks and refuses a late one; the
+    # line-by-line reader then gives the verdict on the whole file (a blank
+    # line it skips, and the rest it names by line)
+    monkeypatch.setattr(emit, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(7)
+    path = _write(tmp_path, "late.csv", "letter,x1,x2\n" + _rows([1, 2, 3] * 12, rng) + bad + _rows([3, 1], rng))
+    parse_block, taken = emit._parse_block, []
+    monkeypatch.setattr(emit, "_parse_block", lambda *args: taken.append(parse_block(*args)) or taken[-1])
+    _assert_reads_as_reference(path, 2)
+    assert taken[-1] is None and sum(b is not None for b in taken) > 10
+
+
+def test_csv_read_holds_the_rows_once(tribo_set, tmp_path, traced_peak):
+    # the file's bytes, the letters and coordinates (8(k + 1) bytes per row)
+    # and one block's temporaries; no second copy of the rows
+    n, k = 200_000, 2
+    path = tmp_path / "cloud.csv"
+    write_points_csv(project_prefixes(CONST_1, tribo_set, n), str(path))
+    back, peak = traced_peak(lambda: read_points_csv(str(path)))
+    assert back.total() == n
+    assert peak < path.stat().st_size + 1.5 * 8 * (k + 1) * n
 
 
 def test_csv_read_rejects_empty(tmp_path):

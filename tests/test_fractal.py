@@ -9,6 +9,7 @@ from rauzy.adic import DirectiveSequence, SubstitutionSet, limit_point_prefix, p
 from rauzy.core import (
     Alphabet,
     DomainError,
+    MAX_PREFIX_ENTRIES,
     ParseError,
     ResourceError,
     Substitution,
@@ -112,6 +113,35 @@ def test_project_word_matches_direct_projection(tribo_sd):
     got = np.vstack([approx.points[i] for i in (1, 2, 3)])
     want = np.vstack([raw[line.letters == i] for i in (1, 2, 3)])
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_project_word_bit_equal_to_int64_reference(d):
+    # the float counts are exact, and centring a chunk of rows at a time
+    # gives the bits of one full-size centring of the int64 stepped line;
+    # 150,000 letters span three chunks
+    sset = SubstitutionSet([Substitution(Alphabet.default(d), _bonacci(d))])
+    sd = sset.spectral()
+    word = limit_point_prefix(CONST_1, sset, 150_000)
+    line = stepped_line(word, d)
+    centered = line.vertices[:-1].astype(float)
+    centered -= np.arange(len(word), dtype=float)[:, None] * sd.u
+    want = centered @ sd.proj_coords.T
+    approx = project_word(sd, word)
+    for i in range(1, d + 1):
+        assert approx.points[i].tobytes() == np.ascontiguousarray(want[line.letters == i]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["tribo_set", "tetra_set"])
+def test_project_prefixes_holds_the_cloud_once(name, request, traced_peak):
+    # at its peak the projection holds the float counts, (n, d), and their
+    # projection, (n, d - 1): no int64 stepped line and no word-order copy
+    sset = request.getfixturevalue(name)
+    d, n = sset.spectral().d, 200_000
+    project_prefixes(CONST_1, sset, 1000)  # spectral data and tables, outside the trace
+    approx, peak = traced_peak(lambda: project_prefixes(CONST_1, sset, n))
+    assert approx.total() == n
+    assert peak < (2 * d - 1) * 8 * n * 1.3
 
 
 def test_prefix_bound_constant_manual_enumeration(tribo_set, tribo_sd):
@@ -272,6 +302,7 @@ def test_prefix_counts_and_gifs_edges_from_the_table(images):
     for sub in subs:
         width = max(len(sub.image(j)) for j in range(1, d + 1))
         assert sub.prefix_counts.shape == (d + 1, width + 1, d)
+        assert sub.prefix_counts.size * 10_000 < MAX_PREFIX_ENTRIES
         for j in range(1, d + 1):
             # r past the image's length reads the padded table
             for r in range(width + 1):

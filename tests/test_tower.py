@@ -8,7 +8,6 @@ matrix, the setting of the paper.
 """
 
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -124,19 +123,16 @@ def test_short_and_long_prefixes_read_one_limit_point():
 # the guards live in the tower, so every reader gets them
 
 
-def test_identity_sweep_refuses_oversized_tower(tribo_set):
+def test_identity_sweep_refuses_oversized_tower(tribo_set, traced_peak):
     # 2^28 letters exceed the 2^27 byte cap; the tower refuses on lengths
     # alone, before any word or sweep array is allocated
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
+    def refuse():
         with pytest.raises(ResourceError, match="byte budget"):
             verify_all_prefix_identities(CONST_1, tribo_set, 1 << 28)
-        elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1.0
+
+    start = time.perf_counter()
+    _, peak = traced_peak(refuse)
+    assert time.perf_counter() - start < 1.0
     assert peak < 1 << 20
 
 

@@ -523,14 +523,16 @@ def render_ppm(
     """
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be positive")
-    union = approx.union()
-    if len(union) == 0:
+    parts = [p for p in approx.points.values() if len(p)]
+    if not parts:
         raise DomainError("nothing to render: empty approximation")
-    if union.shape[1] == 1:
-        union = np.column_stack([union[:, 0], np.zeros(len(union))])
-    xy = union[:, :2]
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
+    # the box from each cloud's column minima and maxima, with no stacked
+    # copy of the cloud; a one-dimensional cloud's y column is all zeros
+    lo = np.zeros(2)
+    hi = np.zeros(2)
+    for j in range(min(2, parts[0].shape[1])):
+        lo[j] = np.min([p[:, j].min() for p in parts])
+        hi[j] = np.max([p[:, j].max() for p in parts])
     span = hi - lo
     pad = np.where(span > 0, span * margin, 1.0)
     lo = lo - pad

@@ -134,7 +134,8 @@ class RauzyApprox:
 
 
 def _split_by_letter(pts: np.ndarray, letters: np.ndarray, d: int) -> dict[int, np.ndarray]:
-    return {i: np.ascontiguousarray(pts[letters == i]) for i in range(1, d + 1)}
+    # np.compress along axis 0 selects rows faster than a boolean index
+    return {i: np.compress(letters == i, pts, axis=0) for i in range(1, d + 1)}
 
 
 # rows of the stepped line centred at a time: 1.5 MB of float temporaries at d = 3
@@ -367,6 +368,7 @@ def verify_all_prefix_identities(
         if top == 0:
             break
         sub = sset[seq[j]]
+        width = sub.prefix_counts.shape[1]  # L + 1 prefixes per image
         level_word = np.frombuffer(words[j + 1], dtype=np.uint8)
         image_lens = np.count_nonzero(sub.table, axis=1)
         # letters of the level-(j+1) word whose images cover positions 0..N_j
@@ -379,7 +381,12 @@ def verify_all_prefix_identities(
         # the letter at position t of the level-j word is the pivot of its split
         if not np.array_equal(images[idx, rest], np.frombuffer(words[j], dtype=np.uint8)[: top + 1]):
             raise AssertionError("split pivots disagree with the level word")
-        levels.append((idx, sub.prefix_counts[level_word[idx], rest]))
+        # gathered by flat row, which numpy does faster than a 2-D index;
+        # the row numbers are built in one array
+        flat = level_word[idx].astype(np.intp)
+        flat *= width
+        flat += rest
+        levels.append((idx, np.take(sub.prefix_counts.reshape(-1, d), flat, axis=0)))
         top = int(idx[-1])
     if top:
         raise AssertionError("prefix peel did not terminate within the deepened levels")
@@ -465,15 +472,17 @@ def _thin(points: np.ndarray, keep: int, key_seed: int) -> tuple[np.ndarray, np.
     sel.sort()
     mask = np.zeros(n, dtype=bool)
     mask[sel] = True
-    return points[mask], points[~mask]
+    return np.compress(mask, points, axis=0), np.compress(~mask, points, axis=0)
 
 
 def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> float:
     """Largest adapted distance from a removed point to its nearest kept
     point, as the k-d tree measures it.  The tree and the adapted copies
     are freed on return, before the next level is stepped."""
-    target = to_adapted(sd, kept)
-    ((loss, _),) = _farthest([(to_adapted(sd, removed), None, _kdtree(target), target)], plain=False)
+    query, target = to_adapted(sd, removed), to_adapted(sd, kept)
+    tree = _kdtree(target)
+    r = _sampled_max(query, tree, target, plain=False)
+    loss, _ = _farthest(query, _uncleared(query, None, target, r), tree, target, r, plain=False)
     return float(loss)
 
 
@@ -493,13 +502,14 @@ def gifs_attractor(
     meta["error_bound"].
 
     A level's loss is the largest distance from a removed point to its
-    nearest kept point, as the k-d tree measures it.  Only a removed point
-    that could be the farthest is queried (see `_farthest`): the exact
-    maximum over a strided sample of the removed points is a lower bound r
-    on the loss, and a removed point that shares a grid cell of diagonal
-    below r with a kept point is strictly nearer than r, so it cannot set
-    the maximum.  The loss is the same number a query of every removed
-    point gives.
+    nearest kept point, as the k-d tree over the kept points measures it.
+    Only a removed point that could be the farthest gets a full query (see
+    `_farthest`): the exact maximum over a strided sample of the removed
+    points is a lower bound r on the loss.  A removed point that shares a
+    grid cell of diagonal below r with a kept point, or whose query bounded
+    just below r finds a kept point, is strictly nearer than r, so it
+    cannot set the maximum.  The loss is the same number a query of every
+    removed point gives.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
@@ -577,22 +587,22 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     The trees only pick the neighbor indices; the distances that can set
     the answer are recomputed with the plain sqrt-of-squares formula, so
     the result agrees bit for bit with a brute-force evaluation over the
-    same pairs.  Each set
-    is queried in the leaf order of its own tree, so consecutive queries
-    visit the same few leaves of the other tree.  A query's nearest distance
-    depends on neither the order of the queries nor the tree's shape; the
-    far witness is the lowest row at the maximum, and where several points
-    tie for nearest, the near witness is the lowest row among those at the
-    witness distance, so the witnesses and the direction are a function of
-    the two arrays alone.
+    same pairs.  A query's nearest distance depends on neither the order of
+    the queries nor the tree's shape; the far witness is the lowest row at
+    the maximum, and where several points tie for nearest, the near witness
+    is the lowest row among those at the witness distance, so the witnesses
+    and the direction are a function of the two arrays alone.
 
-    Only the rows that can set the answer are queried (see `_farthest`).
-    The larger of the two directions' exact maxima over strided samples is
-    a lower bound r on the distance.  A row that shares a grid cell of
-    diagonal below r with a point of the other set is strictly nearer than
-    r, so it is not queried.  A direction whose maximum reaches r keeps
-    every row at its maximum; one whose maximum is below r cannot win, since
-    the other direction reaches r.
+    Only the rows that can set the answer get a full query (see
+    `_farthest`).  The tree over the smaller set S is built first, and the
+    exact maximum over a strided sample of the larger set L, queried
+    against it, is a lower bound r on the distance; so L's directed maximum
+    reaches r, and S's direction wins only if its maximum does too.  S's
+    rows are cleared against a grid over L (`_cleared`), and L's tree is
+    built only when a row of S is left.  Then L is queried in the leaf
+    order of its tree (in row order when it has none) and S in the leaf
+    order of its own, so consecutive queries visit the same few leaves of
+    the other tree.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -600,10 +610,18 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise ValueError("expected two (n, k) point arrays with matching k")
     if len(a) == 0 or len(b) == 0:
         raise DomainError("Hausdorff distance of an empty set is undefined")
-    tree_a, tree_b = _kdtree(a), _kdtree(b)
-    (d_ab, i), (d_ba, j) = _farthest(
-        [(a, tree_a.indices, tree_b, b), (b, tree_b.indices, tree_a, a)], plain=True
-    )
+    swap = len(a) > len(b)
+    small, large = (b, a) if swap else (a, b)
+    tree_s = _kdtree(small)
+    r = _sampled_max(large, tree_s, small, plain=True)
+    rows_s = _uncleared(small, tree_s.indices, large, r)
+    tree_l = _kdtree(large) if len(rows_s) else None
+    rows_l = _uncleared(large, None if tree_l is None else tree_l.indices, small, r)
+    far_l = _farthest(large, rows_l, tree_s, small, r, plain=True)
+    far_s = _farthest(small, rows_s, tree_l, large, r, plain=True)
+    (d_ab, i), (d_ba, j) = (far_l, far_s) if swap else (far_s, far_l)
+    # the winning direction reached r, so the tree over its target is built
+    tree_a, tree_b = (tree_l, tree_s) if swap else (tree_s, tree_l)
     if d_ab >= d_ba:
         near = _lowest_nearest(tree_b, b, a[i], d_ab)
         return HausdorffResult(float(d_ab), a[i].copy(), near, "a_to_b")
@@ -613,57 +631,67 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
 
 # rows of the strided sample that gives the kernel its lower bound
 _SAMPLE_ROWS = 4096
-# the grid may have at most this many cells per query and target row, and
-# at most _AXIS_CELLS along an axis; a finer grid clears nothing
-_CELLS_PER_ROW = 4
+# the grid may have at most this many cells per query and target row (a
+# bitmap of at most 16 bytes per row), at most _MAX_CELLS in all so that
+# int32 keys hold them, and at most _AXIS_CELLS along an axis; a finer grid
+# clears nothing
+_CELLS_PER_ROW = 16
+_MAX_CELLS = (1 << 31) - 1
 _AXIS_CELLS = 1 << 20
 # rows binned, looked up or queried at a time
 _CHUNK_ROWS = 65_536
 
 
-def _farthest(sides, plain: bool) -> list[tuple[float, int]]:
-    """The directed-distance kernel: for each side (query, order, tree,
-    target), the largest distance from a query row to its nearest point of
-    the tree built over target, and the lowest row at that maximum.
+def _sampled_max(query, tree, target, plain: bool) -> float:
+    """The exact directed maximum over a strided sample of about
+    _SAMPLE_ROWS query rows: the lower bound r that `_cleared` and
+    `_farthest` rule rows out with."""
+    sample = np.arange(0, len(query), -(-len(query) // _SAMPLE_ROWS))
+    return _directed_max(query, sample, tree, target, plain)[0]
 
-    Distances are the plain formula over the tree's nearest neighbor when
-    `plain`, else the tree's own.  `order` is the order to query the rows in
-    (a permutation of the rows, such as a tree's leaf order), None for row
-    order.  The exact maximum over a strided sample of about _SAMPLE_ROWS
-    rows per side gives r, the largest over the sides.  A query row that
-    shares a cell of `_cleared`'s grid with a target point is strictly
-    nearer than r and is not queried.  Every row at or above r is queried,
-    so a side's maximum and row are exact when the maximum reaches r; a side
-    whose maximum is below r reports some value below r, or (-inf, -1) when
-    every row was cleared.  One side always reaches r.
+
+def _farthest(query, rows, tree, target, r: float, plain: bool) -> tuple[float, int]:
+    """The directed-distance kernel: the largest distance from query[rows]
+    to its nearest point of the tree built over target, and the lowest row
+    at that maximum, given a lower bound r on the answer.
+
+    `rows` are the rows `_uncleared` leaves, in the order to query them.
+    Each is first queried with the upper bound r (1 - 1e-12): a row with a
+    target point that near is strictly nearer than r and drops out.  Only
+    the rows that find none get the full query, and `_directed_max` takes
+    the maximum over them.  Every row at or above r gets it, so the maximum
+    and its row are exact when the maximum reaches r; a maximum below r
+    comes back as some value below r, or as (-inf, -1) when no row is
+    left.  The tree is not touched when no row is.
     """
-    r = -np.inf
-    for query, _, tree, target in sides:
-        sample = np.arange(0, len(query), -(-len(query) // _SAMPLE_ROWS))
-        r = max(r, _directed_max(query, sample, tree, target, plain)[0])
-    out = []
-    for query, order, tree, target in sides:
-        cleared = _cleared(query, tree, target, r)
-        rows = order
-        if cleared is not None:
-            rows = np.flatnonzero(~cleared) if order is None else order[~cleared[order]]
-        out.append(_directed_max(query, rows, tree, target, plain))
-    return out
+    if r > 0:
+        rows = _beyond(query, rows, tree, r * (1 - 1e-12))
+    return _directed_max(query, rows, tree, target, plain)
+
+
+def _beyond(query, rows, tree, bound: float) -> np.ndarray:
+    """The rows, in their order, whose bounded query finds no tree point
+    within `bound`; queried _CHUNK_ROWS at a time."""
+    left = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        dist, _ = tree.query(query[chunk], distance_upper_bound=bound)
+        left.append(chunk[np.isinf(dist)])
+    return np.concatenate(left)
 
 
 def _directed_max(query, rows, tree, target, plain: bool) -> tuple[float, int]:
-    """Largest nearest distance over query[rows] (all rows when rows is
-    None) and the lowest of those rows attaining it; (-inf, -1) when rows
-    is empty.  Rows are queried _CHUNK_ROWS at a time, so no temporary
-    grows with the number of rows.  With `plain`, the tree's distance
-    differs from the plain formula by a few ulps, so the rows at the plain
-    maximum are among those within a relative 1e-12 of the tree's, and
-    only those get the plain formula."""
+    """Largest nearest distance over query[rows] and the lowest of those
+    rows attaining it; (-inf, -1) when rows is empty.  Rows are queried
+    _CHUNK_ROWS at a time, so no temporary grows with the number of rows.
+    Distances are the tree's own, or with `plain` the plain formula over
+    the tree's nearest neighbor: the tree's distance differs from it by a
+    few ulps, so the rows at the plain maximum are among those within a
+    relative 1e-12 of the tree's, and only those get the plain formula."""
     top, best = -np.inf, -1
-    n = len(query) if rows is None else len(rows)
-    for start in range(0, n, _CHUNK_ROWS):
-        chunk = None if rows is None else rows[start : start + _CHUNK_ROWS]
-        pts = query[start : start + _CHUNK_ROWS] if chunk is None else query[chunk]
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        pts = query[chunk]
         dist, idx = tree.query(pts)
         if plain:
             near = np.flatnonzero(dist >= dist.max() * (1 - 1e-12))
@@ -673,33 +701,50 @@ def _directed_max(query, rows, tree, target, plain: bool) -> tuple[float, int]:
             at = np.flatnonzero(dist == peak)
             if plain:
                 at = near[at]
-            low = start + int(at[0]) if chunk is None else int(chunk[at].min())
+            low = int(chunk[at].min())
             best = low if peak > top else min(best, low)
             top = peak
     return top, best
 
 
-def _cleared(query: np.ndarray, tree, target: np.ndarray, r: float) -> np.ndarray | None:
+def _uncleared(query: np.ndarray, order, target: np.ndarray, r: float) -> np.ndarray:
+    """The query rows in `order` (row order when None) that share no cell
+    of `_cleared`'s grid with a target point: the rows that may reach r."""
+    cleared = _cleared(query, target, r)
+    if cleared is None:
+        return np.arange(len(query)) if order is None else order
+    return np.flatnonzero(~cleared) if order is None else order[~cleared[order]]
+
+
+def _cleared(query: np.ndarray, target: np.ndarray, r: float) -> np.ndarray | None:
     """Mask of the query rows that share a grid cell with a target point,
     or None, clearing nothing, when r is 0 or the grid would be too fine.
 
-    The grid covers the tree's bounding box with cubes of side
+    The grid covers target's bounding box with cubes of side
     r / (sqrt(k) (1 + 1e-9)), so two points in one cube are strictly nearer
-    than r.  With at most 2^20 cells per axis a cell coordinate is rounded
-    by at most 2^-32 of a side, well inside the 1e-9 margin.  A ring of
-    cells that no target point occupies surrounds the box, and a query row
-    outside the box is clamped onto it.  Occupied cells are marked in a
-    dense bitmap under int32 keys, the cell cap keeping them in range; rows
-    are binned and looked up in chunks.
+    than r.  The box is taken one column at a time, which numpy runs much
+    faster than a min or max along axis 0 of rows of length k, and needs no
+    tree over target.  The cells start half a side before the box, so a
+    query row just outside it (a cloud's extreme point, off from the other
+    cloud's by rounding) still shares the box's edge cells.  With at most
+    2^20 cells per axis a cell coordinate is rounded by at most 2^-32 of a
+    side, well inside the 1e-9 margin.  A ring of cells that no target
+    point occupies surrounds the box, and a query row outside the grid is
+    clamped onto it.  Occupied cells are marked in a dense bitmap under
+    int32 keys, the cell caps keeping them in range; rows are binned and
+    looked up in chunks.
     """
     k = query.shape[1]
     side = r / (np.sqrt(k) * (1 + 1e-9))
-    lo = tree.mins
-    extent = tree.maxes - lo
-    if not side > 0 or np.any(extent >= _AXIS_CELLS * side):
+    if not side > 0:
         return None
-    shape = np.floor(extent / side) + 3  # the box's cells and the ring
-    if np.prod(shape) > _CELLS_PER_ROW * (len(query) + len(target)):
+    lo = np.array([target[:, j].min() for j in range(k)])
+    extent = np.array([target[:, j].max() for j in range(k)]) - lo
+    if np.any(extent >= _AXIS_CELLS * side):
+        return None
+    lo -= side / 2
+    shape = np.floor(extent / side + 0.5) + 3  # the box's cells and the ring
+    if np.prod(shape) > min(_CELLS_PER_ROW * (len(query) + len(target)), _MAX_CELLS):
         return None
     strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]  # row-major
     occupied = np.zeros(int(np.prod(shape)), dtype=bool)

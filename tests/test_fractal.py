@@ -894,8 +894,8 @@ def cleared_log(monkeypatch):
     log = []
     inner = fractal._cleared
 
-    def spy(query, tree, target, r):
-        mask = inner(query, tree, target, r)
+    def spy(query, target, r):
+        mask = inner(query, target, r)
         log.append((None if mask is None else int(mask.sum()), len(query)))
         return mask
 
@@ -1017,7 +1017,9 @@ def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tet
 
     cases = [(tribo_set, 14, 3000), (_permuted_family(tetra_set[0], 3), 12, 4000)]
     got = [gifs_attractor(DirectiveSequence.random(4, len(s)), s, depth, budget=cap) for s, depth, cap in cases]
-    monkeypatch.setattr(fractal, "_cleared", lambda query, tree, target, r: None)
+    # no grid and no bounded queries: every removed point gets the full query
+    monkeypatch.setattr(fractal, "_cleared", lambda query, target, r: None)
+    monkeypatch.setattr(fractal, "_beyond", lambda query, rows, tree, bound: rows)
     for (sset, depth, cap), res in zip(cases, got):
         want = gifs_attractor(DirectiveSequence.random(4, len(sset)), sset, depth, budget=cap)
         assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
@@ -1057,3 +1059,79 @@ def test_kernel_query_counts_on_compare_and_set_equation_pairs(tribo_set, tribo_
     assert len(builds) == n_builds
     assert gifs_attractor(seq, tribo_set, 12, budget=3000).meta["thinned"]
     assert builds and all(caller == "_kdtree" for caller in builds)
+
+
+@pytest.fixture
+def kdtree_log(monkeypatch):
+    """Every k-d tree build's size, and every `query` call as (rows, the
+    distance_upper_bound or None, the tree's points, the distances)."""
+    import scipy.spatial
+
+    log = {"builds": [], "queries": []}
+
+    class CountingKDTree(scipy.spatial.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            log["builds"].append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+        def query(self, x, *args, **kwargs):
+            dist, idx = super().query(x, *args, **kwargs)
+            log["queries"].append((np.array(x), kwargs.get("distance_upper_bound"), self.data, dist))
+            return dist, idx
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    return log
+
+
+def test_kernel_builds_no_tree_over_the_larger_cloud_it_need_not_query(tetra_set, kdtree_log):
+    # an unthinned 4-bonacci GIFS cloud holds every projected point (up to
+    # rounding): no row of the projection can reach the sampled bound
+    sd = tetra_set.spectral()
+    seq = DirectiveSequence.random(0, len(tetra_set))
+    proj = project_prefixes(seq, tetra_set, 20_000)
+    gifs = gifs_attractor(seq, tetra_set, 16)
+    assert not gifs.meta["thinned"]
+    for i in range(1, 5):
+        a, b = to_adapted(sd, proj.points[i]), to_adapted(sd, gifs.points[i])
+        assert len(a) < len(b)
+        kdtree_log["builds"].clear()
+        hausdorff(a, b)
+        hausdorff(b, a)
+        assert kdtree_log["builds"] and max(kdtree_log["builds"]) <= len(a)
+        _assert_both_ways(a, b)
+
+
+def test_kernel_builds_the_larger_tree_for_a_far_outlier(kdtree_log):
+    rng = np.random.default_rng(11)
+    large = rng.random((6000, 2))
+    small = np.vstack([rng.random((300, 2)), [[2.5, -1.0]]])
+    res = hausdorff(small, large)
+    assert len(large) in kdtree_log["builds"]
+    assert res.direction == "a_to_b" and res.point_a.tolist() == [2.5, -1.0]
+    kdtree_log["builds"].clear()
+    hausdorff(large, small)
+    assert len(large) in kdtree_log["builds"]
+    _assert_both_ways(small, large)
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_kernel_full_queries_only_rows_at_or_above_the_bound(seed, kdtree_log):
+    rng = np.random.default_rng(seed)
+    # both sides hold rows far from the other: each direction keeps rows
+    # for the full query after the bounded one
+    large = np.vstack([rng.random((5000, 2)), [[1.6, 0.5]], [[-0.4, 0.2]]])
+    small = np.vstack([rng.random((400, 2)), [[0.5, 2.5]]])
+    hausdorff(large, small)
+    (sample, no_bound, _, sample_dist), *rest = kdtree_log["queries"]
+    assert no_bound is None and len(sample) < len(large)
+    # one bound, r (1 - 1e-12), r the sample's maximum
+    (bound,) = {bound for _, bound, _, _ in rest if bound is not None}
+    assert bound == pytest.approx(sample_dist.max() * (1 - 1e-12), rel=1e-14)
+    full = [(x, data) for x, b, data, _ in rest if b is None]
+    assert sum(len(x) for x, _ in full) < len(large) + len(small)
+    assert {len(data) for _, data in full} == {len(large), len(small)}
+    for x, data in full:
+        nearest = np.sqrt(((x[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+        assert np.all(nearest >= bound)
+    _assert_both_ways(large, small)
+

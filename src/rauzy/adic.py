@@ -513,18 +513,16 @@ def balance(word: bytes, k: int, d: int | None = None) -> BalanceReport:
     """Max minus min of each letter's count over all length-k windows.
 
     The overall constant c bounds how far the word drifts from its letter
-    frequencies at this window size.
+    frequencies at this window size.  A letter outside 1..d is a
+    ValueError.
     """
-    n = len(word)
-    if k < 1 or k > n:
+    from .fractal import stepped_line  # fractal imports this module
+
+    if k < 1 or k > len(word):
         raise DomainError("window length must be in 1..len(word)")
     if d is None:
         d = max(word)
-    arr = np.frombuffer(word, dtype=np.uint8)
-    one_hot = np.zeros((n, d), dtype=np.int64)
-    one_hot[np.arange(n), arr - 1] = 1
-    sums = np.zeros((n + 1, d), dtype=np.int64)
-    np.cumsum(one_hot, axis=0, out=sums[1:])
+    sums = stepped_line(word, d).vertices
     windows = sums[k:] - sums[:-k]
     per_letter = {i + 1: int(windows[:, i].max() - windows[:, i].min()) for i in range(d)}
     return BalanceReport(k=k, per_letter=per_letter, c=max(per_letter.values()))

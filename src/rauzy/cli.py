@@ -336,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seq", default=seq_default, help="directive sequence spec")
         sp.add_argument("--seed", type=int, default=None, help="seed for --seq random")
         sp.add_argument("--chain", type=int, default=0, help="limit-point chain index")
+
+    def add_budget(sp):
         sp.add_argument("--budget", type=int, default=None, help="override the point budget")
 
     def add_image(sp):
@@ -356,18 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fractal", help="projection construction")
     add_common(sp)
+    add_budget(sp)
     sp.add_argument("--points", type=int, default=100_000, help="number of stepped-line points")
     add_image(sp)
     sp.set_defaults(func=cmd_fractal)
 
     sp = sub.add_parser("gifs", help="iterated set-equation construction")
     add_common(sp)
+    add_budget(sp)
     sp.add_argument("--depth", type=int, default=18, help="number of set-equation iterations")
     add_image(sp)
     sp.set_defaults(func=cmd_gifs)
 
     sp = sub.add_parser("compare", help="Hausdorff distance between the two constructions")
     add_common(sp)
+    add_budget(sp)
     sp.add_argument("--points", type=int, default=100_000)
     sp.add_argument("--depth", type=int, default=14)
     sp.add_argument("--tol", type=float, default=None, help="fail (exit 1) above this distance")
@@ -393,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cover", help="lattice-translate coverage of a window")
     add_common(sp)
+    add_budget(sp)
     sp.add_argument("--points", type=int, default=200_000)
     sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument("--step", type=float, default=0.05)

@@ -182,8 +182,13 @@ def project_word(sd: SpectralData, word: bytes) -> RauzyApprox:
     """
     pts = _project_line(sd, word)
     points = _split_by_letter(pts, np.frombuffer(word, dtype=np.uint8), sd.d)
-    meta = {"n": len(word), "source_word_len": len(word)}
-    return RauzyApprox(points=points, d=sd.d, source="projection", meta=meta)
+    return RauzyApprox(points=points, d=sd.d, source="projection", meta={"n": len(word)})
+
+
+def _max_adapted_norm(sd: SpectralData, points: dict[int, np.ndarray]) -> float:
+    """Largest adapted norm over the nonempty clouds, taken one subtile at a
+    time, so no temporary is larger than the largest subtile."""
+    return max(float(adapted_norms(sd, p).max()) for p in points.values() if len(p))
 
 
 def prefix_bound_constant(sset: SubstitutionSet, sd: SpectralData) -> float:
@@ -210,14 +215,9 @@ def project_prefixes(
     if n_points > cap:
         raise ResourceError(f"requested {n_points} points exceeds budget {cap}")
     word = limit_point_prefix(seq, sset, n_points, chain_index=chain_index)
-    pts = _project_line(sd, word)
-    meta = {"n": len(word), "source_word_len": len(word)}
+    approx = project_word(sd, word)
     if word:
-        # the norms of the rows in word order, before the split: a matrix
-        # product's rounding can depend on the shape of its operand
-        meta["max_adapted_norm"] = float(adapted_norms(sd, pts).max())
-    points = _split_by_letter(pts, np.frombuffer(word, dtype=np.uint8), sd.d)
-    approx = RauzyApprox(points=points, d=sd.d, source="projection", meta=meta)
+        approx.meta["max_adapted_norm"] = _max_adapted_norm(sd, approx.points)
     c = prefix_bound_constant(sset, sd)
     approx.meta.update(
         {
@@ -482,7 +482,7 @@ def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> f
     query, target = to_adapted(sd, removed), to_adapted(sd, kept)
     tree = _kdtree(target)
     r = _sampled_max(query, tree, target, plain=False)
-    loss, _ = _farthest(query, _uncleared(query, None, target, r), tree, target, r, plain=False)
+    loss, _, _ = _farthest(query, target, tree, r, plain=False)
     return float(loss)
 
 
@@ -502,13 +502,9 @@ def gifs_attractor(
     meta["error_bound"].
 
     A level's loss is the largest distance from a removed point to its
-    nearest kept point, as the k-d tree over the kept points measures it.
-    Only a removed point that could be the farthest gets a full query (see
-    `_farthest`): the exact maximum over a strided sample of the removed
-    points is a lower bound r on the loss.  A removed point that shares a
-    grid cell of diagonal below r with a kept point, or whose query bounded
-    just below r finds a kept point, is strictly nearer than r, so it
-    cannot set the maximum.  The loss is the same number a query of every
+    nearest kept point, as the k-d tree over the kept points measures it,
+    found by one pass of `_farthest` with r the exact maximum over a
+    strided sample of the removed points: the same number a query of every
     removed point gives.
     """
     sd = sset.spectral()
@@ -526,7 +522,7 @@ def gifs_attractor(
             if len(arr) == 0:
                 raise DomainError(f"seed for subtile {i} must be nonempty")
             points[i] = arr
-    seed_norm = max(float(adapted_norms(sd, p).max()) for p in points.values())
+    seed_norm = _max_adapted_norm(sd, points)
     approx = RauzyApprox(points=points, d=d, source="gifs", meta={"depth": 0})
     c = prefix_bound_constant(sset, sd)
     thinning_loss = 0.0
@@ -558,9 +554,7 @@ def gifs_attractor(
             "thinned": thinned,
             "thinning_loss": thinning_loss,
             "norm_bound": c / (1.0 - sd.lam) + sd.lam**depth * seed_norm,
-            "max_adapted_norm": max(
-                float(adapted_norms(sd, p).max()) for p in approx.points.values() if len(p)
-            ),
+            "max_adapted_norm": _max_adapted_norm(sd, approx.points),
         }
     )
     return approx
@@ -593,16 +587,11 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     is the lowest row among those at the witness distance, so the witnesses
     and the direction are a function of the two arrays alone.
 
-    Only the rows that can set the answer get a full query (see
-    `_farthest`).  The tree over the smaller set S is built first, and the
-    exact maximum over a strided sample of the larger set L, queried
-    against it, is a lower bound r on the distance; so L's directed maximum
-    reaches r, and S's direction wins only if its maximum does too.  S's
-    rows are cleared against a grid over L (`_cleared`), and L's tree is
-    built only when a row of S is left.  Then L is queried in the leaf
-    order of its tree (in row order when it has none) and S in the leaf
-    order of its own, so consecutive queries visit the same few leaves of
-    the other tree.
+    Each direction is one pass of `_farthest`.  The larger set L goes
+    first, against the smaller set S's tree, with r the exact maximum over
+    a strided sample of L.  S's direction wins only if it reaches L's exact
+    maximum, so S's pass takes that as its r, and builds L's tree only when
+    a row of S is left after the grid.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -614,14 +603,10 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     small, large = (b, a) if swap else (a, b)
     tree_s = _kdtree(small)
     r = _sampled_max(large, tree_s, small, plain=True)
-    rows_s = _uncleared(small, tree_s.indices, large, r)
-    tree_l = _kdtree(large) if len(rows_s) else None
-    rows_l = _uncleared(large, None if tree_l is None else tree_l.indices, small, r)
-    far_l = _farthest(large, rows_l, tree_s, small, r, plain=True)
-    far_s = _farthest(small, rows_s, tree_l, large, r, plain=True)
-    (d_ab, i), (d_ba, j) = (far_l, far_s) if swap else (far_s, far_l)
-    # the winning direction reached r, so the tree over its target is built
-    tree_a, tree_b = (tree_l, tree_s) if swap else (tree_s, tree_l)
+    far_l = _farthest(large, small, tree_s, r, plain=True)
+    far_s = _farthest(small, large, None, far_l[0], plain=True)
+    # each pass returns the tree over its target, built when the pass wins
+    (d_ab, i, tree_b), (d_ba, j, tree_a) = (far_l, far_s) if swap else (far_s, far_l)
     if d_ab >= d_ba:
         near = _lowest_nearest(tree_b, b, a[i], d_ab)
         return HausdorffResult(float(d_ab), a[i].copy(), near, "a_to_b")
@@ -644,29 +629,32 @@ _CHUNK_ROWS = 65_536
 
 def _sampled_max(query, tree, target, plain: bool) -> float:
     """The exact directed maximum over a strided sample of about
-    _SAMPLE_ROWS query rows: the lower bound r that `_cleared` and
-    `_farthest` rule rows out with."""
+    _SAMPLE_ROWS query rows: a lower bound r to give `_farthest`."""
     sample = np.arange(0, len(query), -(-len(query) // _SAMPLE_ROWS))
     return _directed_max(query, sample, tree, target, plain)[0]
 
 
-def _farthest(query, rows, tree, target, r: float, plain: bool) -> tuple[float, int]:
-    """The directed-distance kernel: the largest distance from query[rows]
-    to its nearest point of the tree built over target, and the lowest row
-    at that maximum, given a lower bound r on the answer.
+def _farthest(query, target, tree, r: float, plain: bool):
+    """One direction of the directed-distance kernel: the largest distance
+    from a query row to its nearest target point, the lowest row at that
+    maximum, and the k-d tree over target (`tree`, or when None one built
+    here if a row is left), given a lower bound r on the answer.
 
-    `rows` are the rows `_uncleared` leaves, in the order to query them.
-    Each is first queried with the upper bound r (1 - 1e-12): a row with a
-    target point that near is strictly nearer than r and drops out.  Only
-    the rows that find none get the full query, and `_directed_max` takes
-    the maximum over them.  Every row at or above r gets it, so the maximum
-    and its row are exact when the maximum reaches r; a maximum below r
-    comes back as some value below r, or as (-inf, -1) when no row is
-    left.  The tree is not touched when no row is.
+    Rows that share a cell of `_cleared`'s grid with a target point, then
+    rows whose query bounded by r (1 - 1e-12) finds one, are strictly
+    nearer than r and drop out; the rest get `_directed_max`'s full query.
+    Every row at or above r gets it, so the maximum and its row are exact
+    when the maximum reaches r; a maximum below r comes back as some value
+    below r, or as (-inf, -1) when no row is left.
     """
+    cleared = _cleared(query, target, r)
+    rows = np.arange(len(query)) if cleared is None else np.flatnonzero(~cleared)
+    if len(rows) and tree is None:
+        tree = _kdtree(target)
     if r > 0:
         rows = _beyond(query, rows, tree, r * (1 - 1e-12))
-    return _directed_max(query, rows, tree, target, plain)
+    top, best = _directed_max(query, rows, tree, target, plain)
+    return top, best, tree
 
 
 def _beyond(query, rows, tree, bound: float) -> np.ndarray:
@@ -707,18 +695,10 @@ def _directed_max(query, rows, tree, target, plain: bool) -> tuple[float, int]:
     return top, best
 
 
-def _uncleared(query: np.ndarray, order, target: np.ndarray, r: float) -> np.ndarray:
-    """The query rows in `order` (row order when None) that share no cell
-    of `_cleared`'s grid with a target point: the rows that may reach r."""
-    cleared = _cleared(query, target, r)
-    if cleared is None:
-        return np.arange(len(query)) if order is None else order
-    return np.flatnonzero(~cleared) if order is None else order[~cleared[order]]
-
-
 def _cleared(query: np.ndarray, target: np.ndarray, r: float) -> np.ndarray | None:
     """Mask of the query rows that share a grid cell with a target point,
-    or None, clearing nothing, when r is 0 or the grid would be too fine.
+    and so are nearer than r, or None, clearing nothing, when r is 0 or the
+    grid would be too fine.
 
     The grid covers target's bounding box with cubes of side
     r / (sqrt(k) (1 + 1e-9)), so two points in one cube are strictly nearer

@@ -271,6 +271,10 @@ def test_balance_domain():
         balance(b"\x01\x02", 0)
     with pytest.raises(DomainError):
         balance(b"\x01\x02", 3)
+    # a letter outside 1..d is refused, not wrapped around
+    for word in (b"\x01\x00", b"\x01\x03"):
+        with pytest.raises(ValueError, match="outside 1..d"):
+            balance(word, 1, d=2)
 
 
 def test_factor_gap_literal():

@@ -236,6 +236,9 @@ def test_negative_chain_refused(tribo_path):
         ["continuity", "--base", "(1)", "--variant", "(2)", "--n-min", "-1"],
         ["continuity", "--base", "(1)", "--variant", "(2)", "--n-min", "5", "--n-max", "2"],
         ["fractal", "--budget", "5"],
+        # balance builds no cloud and check's are fixed: neither takes --budget
+        ["check", "--budget", "100"],
+        ["balance", "--budget", "100"],
         ["compare", "--tol", "nan"],
         ["compare", "--tol", "-1"],
         ["compare", "--tol", "inf"],
@@ -401,9 +404,14 @@ def test_budget_env_checked_with_the_flags(argv, monkeypatch):
     monkeypatch.setenv("RAUZY_POINT_BUDGET", "many")
     with pytest.raises(ParseError, match="RAUZY_POINT_BUDGET"):
         _check_flags(parser.parse_args([argv[0], "--subs", "unread.subs", *argv[1:]]))
-    if argv[0] not in ("continuity", "check"):
+    with_flag = [argv[0], "--subs", "unread.subs", *argv[1:], "--budget", "100"]
+    if argv[0] in ("continuity", "check"):
+        # no --budget: the variable is the one way to set their cap
+        with pytest.raises(SystemExit, match="2"):
+            parser.parse_args(with_flag)
+    else:
         # --budget replaces the variable, which is then never read
-        _check_flags(parser.parse_args([argv[0], "--subs", "unread.subs", "--budget", "100"]))
+        _check_flags(parser.parse_args(with_flag))
 
 
 def test_budget_env_not_read_without_a_cloud(monkeypatch):

@@ -144,6 +144,27 @@ def test_project_prefixes_holds_the_cloud_once(name, request, traced_peak):
     assert peak < (2 * d - 1) * 8 * n * 1.3
 
 
+def test_every_prefix_cloud_is_projected_by_project_word(tribo_set, monkeypatch):
+    from rauzy import fractal
+
+    words = []
+    inner = fractal.project_word
+
+    def spy(sd, word):
+        words.append(len(word))
+        return inner(sd, word)
+
+    monkeypatch.setattr(fractal, "project_word", spy)
+    assert project_prefixes(CONST_1, tribo_set, 500).total() == 500
+    assert words == [500]
+    words.clear()
+    compare_constructions(CONST_1, tribo_set, 400, 3)
+    assert words == [400]
+    words.clear()
+    continuity_experiment(tribo_set, CONST_1, CONST_2, agree_lengths=[1, 2], n_points=300)
+    assert words == [300, 300, 300]
+
+
 def test_prefix_bound_constant_manual_enumeration(tribo_set, tribo_sd):
     # images of the two substitutions: ab, ac, a and ab, ca, a; the proper
     # nonempty prefixes are "a" and "c", enumerated here by hand
@@ -1135,3 +1156,26 @@ def test_kernel_full_queries_only_rows_at_or_above_the_bound(seed, kdtree_log):
         assert np.all(nearest >= bound)
     _assert_both_ways(large, small)
 
+
+def test_kernel_bounds_the_smaller_set_at_the_larger_sets_maximum(monkeypatch):
+    from rauzy import fractal
+
+    bounds = []
+    inner = fractal._beyond
+
+    def spy(query, rows, tree, bound):
+        bounds.append((len(query), bound))
+        return inner(query, rows, tree, bound)
+
+    monkeypatch.setattr(fractal, "_beyond", spy)
+    rng = np.random.default_rng(14)
+    # the larger set's farthest row, 5001, is not in the stride-2 sample
+    large = np.vstack([rng.random((5000, 2)), [[1.6, 0.5]], [[-0.9, 0.2]]])
+    small = np.vstack([rng.random((400, 2)), [[0.5, 2.5]]])
+    nearest = np.sqrt(((large[:, None, :] - small[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+    r, d_l = nearest[::2].max(), nearest.max()
+    assert r < d_l
+    res = hausdorff(small, large)
+    assert res.direction == "a_to_b" and res.point_a.tolist() == [0.5, 2.5]
+    assert bounds == [(len(large), r * (1 - 1e-12)), (len(small), d_l * (1 - 1e-12))]
+    _assert_both_ways(small, large)

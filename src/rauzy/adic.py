@@ -516,13 +516,22 @@ def balance(word: bytes, k: int, d: int | None = None) -> BalanceReport:
     frequencies at this window size.  A letter outside 1..d is a
     ValueError.
     """
+    return balances(word, (k,), d)[0]
+
+
+def balances(word: bytes, ks, d: int | None = None) -> list[BalanceReport]:
+    """`balance` at each window length of the sequence ks, all taken from
+    one stepped line of the word; every length is checked first."""
     from .fractal import stepped_line  # fractal imports this module
 
-    if k < 1 or k > len(word):
+    if any(k < 1 or k > len(word) for k in ks):
         raise DomainError("window length must be in 1..len(word)")
     if d is None:
         d = max(word)
     sums = stepped_line(word, d).vertices
-    windows = sums[k:] - sums[:-k]
-    per_letter = {i + 1: int(windows[:, i].max() - windows[:, i].min()) for i in range(d)}
-    return BalanceReport(k=k, per_letter=per_letter, c=max(per_letter.values()))
+    reports = []
+    for k in ks:
+        windows = sums[k:] - sums[:-k]
+        per_letter = {i + 1: int(windows[:, i].max() - windows[:, i].min()) for i in range(d)}
+        reports.append(BalanceReport(k=k, per_letter=per_letter, c=max(per_letter.values())))
+    return reports

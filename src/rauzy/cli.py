@@ -15,7 +15,7 @@ import numpy as np
 from .adic import (
     DirectiveSequence,
     SubstitutionSet,
-    balance,
+    balances,
     factor_gap_check,
     limit_point_prefix,
     parse_sequence_spec,
@@ -272,11 +272,10 @@ def cmd_balance(args) -> int:
     d = sset.d
     print(f"sequence: {seq.describe()}  word-length: {len(word)}")
     running = 0
-    for k in range(1, args.k_max + 1):
-        rep = balance(word, k, d=d)
+    for rep in balances(word, range(1, args.k_max + 1), d=d):
         running = max(running, rep.c)
         per = ", ".join(f"{i}:{rep.per_letter[i]}" for i in sorted(rep.per_letter))
-        print(f"k={k}: c={rep.c} (per letter {per})")
+        print(f"k={rep.k}: c={rep.c} (per letter {per})")
     print(f"max-c-over-windows: {running}")
     if args.factor_len:
         gap = factor_gap_check(word, args.factor_len)

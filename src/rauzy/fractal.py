@@ -17,6 +17,7 @@ scipy.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -504,8 +505,11 @@ def gifs_attractor(
     A level's loss is the largest distance from a removed point to its
     nearest kept point, as the k-d tree over the kept points measures it,
     found by one pass of `_farthest` with r the exact maximum over a
-    strided sample of the removed points: the same number a query of every
-    removed point gives.
+    strided sample of the removed points.  A removed point drops out of
+    that pass only when a kept point is certainly nearer than r, found in
+    its grid cell or a neighbouring one or by a query bounded by r, so
+    every point at or above r gets the full query: the loss is the same
+    number a query of every removed point gives.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
@@ -591,7 +595,9 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     first, against the smaller set S's tree, with r the exact maximum over
     a strided sample of L.  S's direction wins only if it reaches L's exact
     maximum, so S's pass takes that as its r, and builds L's tree only when
-    a row of S is left after the grid.
+    a row of S is left after the grid.  A pass drops only rows that a point
+    of the other set is certainly nearer than r to, so every row that can
+    set the maximum gets the full query.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -617,10 +623,9 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
 # rows of the strided sample that gives the kernel its lower bound
 _SAMPLE_ROWS = 4096
 # the grid may have at most this many cells per query and target row (a
-# bitmap of at most 16 bytes per row), at most _MAX_CELLS in all so that
-# int32 keys hold them, and at most _AXIS_CELLS along an axis; a finer grid
-# clears nothing
-_CELLS_PER_ROW = 16
+# map of at most 32 bytes per row), at most _MAX_CELLS in all, and at most
+# _AXIS_CELLS along an axis; a finer grid clears nothing
+_CELLS_PER_ROW = 8
 _MAX_CELLS = (1 << 31) - 1
 _AXIS_CELLS = 1 << 20
 # rows binned, looked up or queried at a time
@@ -640,10 +645,12 @@ def _farthest(query, target, tree, r: float, plain: bool):
     maximum, and the k-d tree over target (`tree`, or when None one built
     here if a row is left), given a lower bound r on the answer.
 
-    Rows that share a cell of `_cleared`'s grid with a target point, then
-    rows whose query bounded by r (1 - 1e-12) finds one, are strictly
-    nearer than r and drop out; the rest get `_directed_max`'s full query.
-    Every row at or above r gets it, so the maximum and its row are exact
+    Rows that `_cleared`'s grid clears (a target point in the row's own
+    cell, or one within r (1 - 1e-12) in a neighbouring cell), then rows
+    whose query bounded by r (1 - 1e-12) finds one, are strictly nearer
+    than r and drop out; the rest get `_directed_max`'s full query.  Each
+    drop rests on a real target point nearer than r, so every row at or
+    above r gets the full query, and the maximum and its row are exact
     when the maximum reaches r; a maximum below r comes back as some value
     below r, or as (-inf, -1) when no row is left.
     """
@@ -696,9 +703,9 @@ def _directed_max(query, rows, tree, target, plain: bool) -> tuple[float, int]:
 
 
 def _cleared(query: np.ndarray, target: np.ndarray, r: float) -> np.ndarray | None:
-    """Mask of the query rows that share a grid cell with a target point,
-    and so are nearer than r, or None, clearing nothing, when r is 0 or the
-    grid would be too fine.
+    """Mask of the query rows that a target point certainly lies nearer
+    than r to, or None, clearing nothing, when r is 0 or the grid would be
+    too fine.
 
     The grid covers target's bounding box with cubes of side
     r / (sqrt(k) (1 + 1e-9)), so two points in one cube are strictly nearer
@@ -710,9 +717,23 @@ def _cleared(query: np.ndarray, target: np.ndarray, r: float) -> np.ndarray | No
     2^20 cells per axis a cell coordinate is rounded by at most 2^-32 of a
     side, well inside the 1e-9 margin.  A ring of cells that no target
     point occupies surrounds the box, and a query row outside the grid is
-    clamped onto it.  Occupied cells are marked in a dense bitmap under
-    int32 keys, the cell caps keeping them in range; rows are binned and
-    looked up in chunks.
+    clamped onto it.
+
+    Each occupied cell remembers one of its target rows in an int32 map, -1
+    where the cell is empty; which one does not matter.  A row whose own
+    cell is occupied is cleared.  Each other row walks its cell's 3^k - 1
+    neighbours, face neighbours first, and is cleared once a neighbour's
+    target row lies within r (1 - 1e-12) by the plain squared formula.  A
+    cleared row is thus nearer than r by a real target point, and every
+    row at or above r is left.  Only a row on the ring has neighbours past
+    the grid's edge; their keys wrap onto other ring cells, or are clipped
+    onto the map's end cells, which are ring cells too, and hold no target
+    row.
+
+    The map takes 4 bytes a cell, at most 4 _CELLS_PER_ROW = 32 bytes per
+    query and target row, and the mask one byte per query row.  Rows are
+    binned, looked up and walked _CHUNK_ROWS at a time, with at most 64 k
+    bytes of temporaries per row of a chunk.
     """
     k = query.shape[1]
     side = r / (np.sqrt(k) * (1 + 1e-9))
@@ -727,21 +748,41 @@ def _cleared(query: np.ndarray, target: np.ndarray, r: float) -> np.ndarray | No
     if np.prod(shape) > min(_CELLS_PER_ROW * (len(query) + len(target)), _MAX_CELLS):
         return None
     strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]  # row-major
-    occupied = np.zeros(int(np.prod(shape)), dtype=bool)
+    occupant = np.full(int(np.prod(shape)), -1, dtype=np.int32)
     for start in range(0, len(target), _CHUNK_ROWS):
-        occupied[_cell_keys(target[start : start + _CHUNK_ROWS], lo, side, shape, strides)] = True
-    cleared = np.empty(len(query), dtype=bool)
+        keys = _cell_keys(target[start : start + _CHUNK_ROWS], lo, side, shape, strides)
+        occupant[keys] = np.arange(start, start + len(keys), dtype=np.int32)
+    steps = _neighbour_steps(strides)
+    bound = (r * (1 - 1e-12)) ** 2
+    cleared = np.ones(len(query), dtype=bool)
     for start in range(0, len(query), _CHUNK_ROWS):
-        keys = _cell_keys(query[start : start + _CHUNK_ROWS], lo, side, shape, strides)
-        cleared[start : start + _CHUNK_ROWS] = occupied[keys]
+        pts = query[start : start + _CHUNK_ROWS]
+        keys = _cell_keys(pts, lo, side, shape, strides)
+        left = np.flatnonzero(occupant[keys] < 0)
+        for step in steps:
+            if not len(left):
+                break
+            near = occupant[np.clip(keys[left] + step, 0, len(occupant) - 1)]
+            hit = np.flatnonzero(near >= 0)
+            diff = pts[left[hit]] - target[near[hit]]
+            left = np.delete(left, hit[np.einsum("ij,ij->i", diff, diff) < bound])
+        cleared[start + left] = False
     return cleared
 
 
+def _neighbour_steps(strides) -> list[int]:
+    """Key offsets of a cell's 3^k - 1 neighbours in a row-major grid with
+    these strides, those differing in fewest coordinates first."""
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(strides)) if any(o)]
+    offsets.sort(key=np.count_nonzero)
+    return [int(np.dot(o, strides)) for o in offsets]
+
+
 def _cell_keys(pts, lo, side, shape, strides) -> np.ndarray:
-    """int32 key of each row's cell, rows outside the box clamped onto the
-    ring.  The keys are exact: float64 holds every integer below 2^53.  The
-    axes are taken one at a time, which numpy runs faster than rows of
-    length k."""
+    """Key of each row's cell, rows outside the box clamped onto the ring.
+    The keys are exact: float64 holds every integer below 2^53.  The axes
+    are taken one at a time, which numpy runs faster than rows of length
+    k."""
     keys = np.zeros(len(pts))
     cell = np.empty(len(pts))
     for j in range(pts.shape[1]):
@@ -752,7 +793,7 @@ def _cell_keys(pts, lo, side, shape, strides) -> np.ndarray:
         np.clip(cell, 0, shape[j] - 1, out=cell)
         cell *= strides[j]
         keys += cell
-    return keys.astype(np.int32)
+    return keys.astype(np.intp)
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from rauzy.adic import (
     DirectiveSequence,
     balance,
+    balances,
     factor_gap_check,
     first_letter_map,
     is_primitive_sequence,
@@ -264,6 +265,18 @@ def test_balance_matches_brute_force():
         word = bytes(rng.randrange(1, d + 1) for _ in range(n))
         k = rng.randrange(1, n + 1)
         assert balance(word, k, d=d).c == brute_balance(word, k, d)
+
+
+def test_balances_equal_balance_at_each_window_length():
+    rng = random.Random(72)
+    word = bytes(rng.randrange(1, 4) for _ in range(300))
+    ks = [1, 2, 7, 7, 300]
+    assert balances(word, ks, d=3) == [balance(word, k, d=3) for k in ks]
+    assert balances(word, []) == []
+    with pytest.raises(DomainError):
+        balances(word, [1, 301])
+    with pytest.raises(ValueError, match="outside 1..d"):
+        balances(b"\x01\x03", [1, 2], d=2)
 
 
 def test_balance_domain():

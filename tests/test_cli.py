@@ -638,6 +638,23 @@ def test_balance_and_gaps(tribo_path):
     assert "factor-gaps len=2:" in proc.stdout
 
 
+def test_balance_builds_one_stepped_line(tribo_path, monkeypatch, capsys):
+    from rauzy import fractal
+
+    lengths = []
+    inner = fractal.stepped_line
+
+    def spy(word, d):
+        lengths.append(len(word))
+        return inner(word, d)
+
+    monkeypatch.setattr(fractal, "stepped_line", spy)
+    assert main(["balance", "--subs", tribo_path, "--len", "3000", "--k-max", "7"]) == 0
+    assert lengths == [3000]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:8]] == [f"k={k}" for k in range(1, 8)]
+
+
 def test_continuity_smoke(tribo_path):
     proc = run_cli(
         "continuity", "--subs", tribo_path, "--base", "(1)", "--variant", "(2)",

@@ -1179,3 +1179,95 @@ def test_kernel_bounds_the_smaller_set_at_the_larger_sets_maximum(monkeypatch):
     assert res.direction == "a_to_b" and res.point_a.tolist() == [0.5, 2.5]
     assert bounds == [(len(large), r * (1 - 1e-12)), (len(small), d_l * (1 - 1e-12))]
     _assert_both_ways(small, large)
+
+
+def _nearest(query, target):
+    """Each query row's nearest distance to target, by brute force."""
+    return np.sqrt(((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_kernel_grid_clears_only_rows_a_target_point_is_nearer_than_r(k, monkeypatch):
+    from rauzy import fractal
+
+    rng = np.random.default_rng(40 + k)
+    inner_steps = fractal._neighbour_steps
+    gridded = by_neighbours = 0
+    for _ in range(3):
+        # clumps of target rows, many to a cell, and a few lone ones
+        centres = rng.random((int(rng.integers(3, 10)), k))
+        clumps = centres[rng.integers(0, len(centres), 300)] + rng.normal(scale=1e-3, size=(300, k))
+        target = np.vstack([clumps, rng.random((30, k))])
+        lo, hi = target.min(axis=0), target.max(axis=0)
+        # rows inside the box; on its faces, edges and corners, just inside
+        # and just outside, where a neighbour key steps past the grid; and
+        # far outside, clamped onto the ring
+        edge = rng.choice([-0.02, 0.0, 1.0, 1.02], size=(200, k))
+        edge = np.where(rng.random((200, k)) < 0.5, edge, rng.random((200, k)))
+        far = rng.choice([-3.0, 4.0], size=(30, k)) * rng.random((30, k))
+        query = np.vstack([rng.random((800, k)), lo + edge * (hi - lo), far, target[::7]])
+        nearest = _nearest(query, target)
+        # r just below, at and just above single rows' nearest distances, on
+        # either side of the 1e-12 margin, over the spread of the distances
+        picks = np.argsort(nearest)[np.linspace(len(query) // 2, len(query) - 1, 6).astype(int)]
+        radii = [nearest[j] * f for j in picks for f in (1 - 1e-9, 1 - 1e-13, 1, 1 + 1e-13, 1 + 2e-12, 1 + 1e-9)]
+        radii += [np.nextafter(nearest[j], np.inf) for j in picks]
+        for r in radii:
+            mask = fractal._cleared(query, target, r)
+            if mask is None:
+                continue
+            gridded += 1
+            assert not np.any(nearest[mask] >= r * (1 - 1e-12))
+            monkeypatch.setattr(fractal, "_neighbour_steps", lambda strides: [])
+            own_cell = fractal._cleared(query, target, r)
+            monkeypatch.setattr(fractal, "_neighbour_steps", inner_steps)
+            assert np.all(mask[own_cell])
+            by_neighbours += int(mask.sum() - own_cell.sum())
+    assert gridded and by_neighbours
+
+
+def test_kernel_grid_memory_at_the_cell_cap(traced_peak, monkeypatch):
+    # the map holds at most 32 bytes per query and target row; beside it
+    # the mask, a byte per query row, and at most 64 k bytes per row of the
+    # chunk in hand
+    from rauzy import fractal
+
+    monkeypatch.setattr(fractal, "_CHUNK_ROWS", 4096)
+    n_query, n_target = 60_000, 20_000
+    cap = fractal._CELLS_PER_ROW * (n_query + n_target)
+    for k in (2, 3):
+        rng = np.random.default_rng(50 + k)
+        target = np.vstack([np.zeros(k), np.ones(k), rng.random((n_target - 2, k))])
+        query = rng.random((n_query, k))
+        # s cells along each axis, the box's s - 3 and the ring: as many as the cap allows
+        s = int(round(cap ** (1 / k)))
+        s -= s**k > cap
+        r = np.sqrt(k) * (1 + 1e-9) / (s - 3)
+        assert fractal._cleared(query, target, r * 0.99) is None
+        mask, peak = traced_peak(lambda: fractal._cleared(query, target, r))
+        assert mask is not None and mask.any()
+        assert peak <= 32 * (n_query + n_target) + n_query + 64 * k * fractal._CHUNK_ROWS
+
+
+def test_kernel_grid_leaves_few_rows_of_the_larger_cloud_for_bounded_queries(tetra_set, monkeypatch):
+    # the pair of test_kernel_builds_no_tree_over_the_larger_cloud_it_need_not_query;
+    # clearing by its own cell alone left 37-38% of each larger cloud
+    from rauzy import fractal
+
+    left = []
+    inner = fractal._beyond
+
+    def spy(query, rows, tree, bound):
+        left.append((len(query), len(rows)))
+        return inner(query, rows, tree, bound)
+
+    monkeypatch.setattr(fractal, "_beyond", spy)
+    sd = tetra_set.spectral()
+    seq = DirectiveSequence.random(0, len(tetra_set))
+    proj = project_prefixes(seq, tetra_set, 20_000)
+    gifs = gifs_attractor(seq, tetra_set, 16)
+    for i in range(1, 5):
+        a, b = to_adapted(sd, proj.points[i]), to_adapted(sd, gifs.points[i])
+        left.clear()
+        hausdorff(a, b)
+        assert [rows for n, rows in left if n == len(b)] and all(rows < 0.05 * n for n, rows in left if n == len(b))

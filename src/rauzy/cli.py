@@ -8,6 +8,7 @@ like), 4 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -112,11 +113,15 @@ def _check_flags(args) -> None:
             raise ParseError("--stride must be at least 1")
         if not 0 <= args.n_min <= args.n_max:
             raise ParseError("--n-min must lie in 0..--n-max")
-    if getattr(args, "out", None) and hasattr(args, "width"):
+    if hasattr(args, "width"):
         if args.width < 16 or args.height < 16:
             raise ParseError("width and height must be at least 16")
         if not 0 <= args.margin < 0.5:
             raise ParseError("margin must lie in [0, 0.5)")
+    for path in _output_paths(args).values():
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ParseError(f"cannot write {path!r}: not a file name in an existing directory")
+    if getattr(args, "out", None) is not None and hasattr(args, "width"):
         if args.width * args.height > MAX_PIXELS:
             size = f"{args.width}x{args.height}"
             raise ResourceError(f"a {size} image exceeds the cap of {MAX_PIXELS} pixels")
@@ -128,17 +133,28 @@ def _check_flags(args) -> None:
             raise ResourceError(f"{rows} continuity rows exceed the cap of {MAX_CONTINUITY_ROWS}")
 
 
+def _output_paths(args) -> dict[str, str]:
+    """The files a run writes, by format: none without `--out`; `render`
+    writes its PPM at `--out`, the picture commands what `--format` names
+    (`both` derives sibling filenames)."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return {}
+    fmt = getattr(args, "format", "ppm")
+    if fmt == "both":
+        return {"csv": _sibling(out, ".csv"), "ppm": _sibling(out, ".ppm")}
+    return {fmt: out}
+
+
 def _write_outputs(args, approx) -> None:
-    if not getattr(args, "out", None):
-        return
-    fmt = args.format
-    if fmt in ("csv", "both"):
-        path = args.out if fmt == "csv" else _sibling(args.out, ".csv")
-        write_points_csv(approx, path)
-        print(f"wrote {path}")
-    if fmt in ("ppm", "both"):
-        path = args.out if fmt == "ppm" else _sibling(args.out, ".ppm")
-        render_ppm(approx, args.width, args.height, margin=args.margin, path=path)
+    for fmt, path in _output_paths(args).items():
+        try:
+            if fmt == "csv":
+                write_points_csv(approx, path)
+            else:
+                render_ppm(approx, args.width, args.height, margin=args.margin, path=path)
+        except OSError as e:  # a full disk or a permission: exit 4
+            raise ResourceError(f"cannot write {path}: {e.strerror or e}") from None
         print(f"wrote {path}")
 
 
@@ -307,7 +323,10 @@ def cmd_render(args) -> int:
         approx = read_points_csv(args.infile)
     except OSError as e:
         raise ParseError(f"cannot read {args.infile}: {e.strerror or e}") from None
-    render_ppm(approx, args.width, args.height, margin=args.margin, path=args.out)
+    try:
+        render_ppm(approx, args.width, args.height, margin=args.margin, path=args.out)
+    except OSError as e:
+        raise ResourceError(f"cannot write {args.out}: {e.strerror or e}") from None
     print(f"wrote {args.out} ({args.width}x{args.height}, {approx.total()} points)")
     return 0
 

@@ -72,6 +72,12 @@ def point_budget() -> int:
 def _kdtree(points: np.ndarray):
     """Every k-d tree of this module: a scipy cKDTree over the rows.
 
+    `coverage_estimate` and `_resolution_estimate` build one over a whole
+    cloud.  The distance kernel (`_nearest`) builds each over the target
+    rows in the grid cells around the rows it serves, and over a whole
+    target only when those cells hold most of it: a pair's distance does
+    not depend on which other rows a tree holds.
+
     The tree is built without median splits (balanced_tree=False) and without
     shrinking each node's box to its points (compact_nodes=False), which
     builds it in less time.  Neither choice changes a result: a
@@ -478,12 +484,15 @@ def _thin(points: np.ndarray, keep: int, key_seed: int) -> tuple[np.ndarray, np.
 
 def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> float:
     """Largest adapted distance from a removed point to its nearest kept
-    point, as the k-d tree measures it.  The tree and the adapted copies
-    are freed on return, before the next level is stepped."""
+    point, as a k-d tree over all the kept points measures it.
+
+    One pass of `_farthest`: no tree holds all the kept points unless the
+    cells its rows need hold most of them, as on a kept cloud not much
+    larger than the sample (see `_nearest`).  The grids, keys and adapted
+    copies are freed on return, before the next level is stepped."""
     query, target = to_adapted(sd, removed), to_adapted(sd, kept)
-    tree = _kdtree(target)
-    r = _sampled_max(query, tree, target, plain=False)
-    loss, _, _ = _farthest(query, target, tree, r, plain=False)
+    r, grid = _sampled_grid(query, target, plain=False)
+    loss, _ = _farthest(query, grid.keys(query), target, grid.keys(target), grid, r, plain=False)
     return float(loss)
 
 
@@ -503,13 +512,14 @@ def gifs_attractor(
     meta["error_bound"].
 
     A level's loss is the largest distance from a removed point to its
-    nearest kept point, as the k-d tree over the kept points measures it,
+    nearest kept point, as a k-d tree over all the kept points measures it,
     found by one pass of `_farthest` with r the exact maximum over a
     strided sample of the removed points.  A removed point drops out of
     that pass only when a kept point is certainly nearer than r, found in
-    its grid cell or a neighbouring one or by a query bounded by r, so
-    every point at or above r gets the full query: the loss is the same
-    number a query of every removed point gives.
+    its grid cell or a neighbouring one; every other removed point gets its
+    exact nearest distance from a small tree over the kept points in the
+    cells around it, so the loss is the same number a query of every
+    removed point against the whole kept cloud gives (`_thinning_loss`).
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
@@ -580,24 +590,27 @@ class HausdorffResult:
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     """Hausdorff distance between finite point sets (rows), exact up to
-    floating point: nearest neighbors from k-d tree queries, no sampling.
+    floating point: every row that can set the answer gets its nearest
+    neighbor from a k-d tree query, no sampling.
 
     The trees only pick the neighbor indices; the distances that can set
     the answer are recomputed with the plain sqrt-of-squares formula, so
     the result agrees bit for bit with a brute-force evaluation over the
     same pairs.  A query's nearest distance depends on neither the order of
-    the queries nor the tree's shape; the far witness is the lowest row at
-    the maximum, and where several points tie for nearest, the near witness
-    is the lowest row among those at the witness distance, so the witnesses
-    and the direction are a function of the two arrays alone.
+    the queries, nor the tree's shape, nor which other rows the tree holds;
+    the far witness is the lowest row at the maximum, and where several
+    points tie for nearest, the near witness is the lowest row among those
+    at the witness distance, so the witnesses and the direction are a
+    function of the two arrays alone.
 
-    Each direction is one pass of `_farthest`.  The larger set L goes
-    first, against the smaller set S's tree, with r the exact maximum over
-    a strided sample of L.  S's direction wins only if it reaches L's exact
-    maximum, so S's pass takes that as its r, and builds L's tree only when
-    a row of S is left after the grid.  A pass drops only rows that a point
-    of the other set is certainly nearer than r to, so every row that can
-    set the maximum gets the full query.
+    Each direction is one pass of `_farthest`, both on one grid over the
+    smaller set S's box.  The larger set L goes first, with r the exact
+    maximum over a strided sample of L.  S's direction wins only if it
+    reaches L's exact maximum, so S's pass takes that as its r and reuses
+    the grid and L's keys: it bins no row of L again.  A pass drops only
+    rows that a point of the other set is certainly nearer than r to, and
+    measures every other row exactly with a tree over the other set's
+    points in the cells around it (`_nearest`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -607,165 +620,312 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise DomainError("Hausdorff distance of an empty set is undefined")
     swap = len(a) > len(b)
     small, large = (b, a) if swap else (a, b)
-    tree_s = _kdtree(small)
-    r = _sampled_max(large, tree_s, small, plain=True)
-    far_l = _farthest(large, small, tree_s, r, plain=True)
-    far_s = _farthest(small, large, None, far_l[0], plain=True)
-    # each pass returns the tree over its target, built when the pass wins
-    (d_ab, i, tree_b), (d_ba, j, tree_a) = (far_l, far_s) if swap else (far_s, far_l)
+    r, grid = _sampled_grid(large, small, plain=True)
+    keys_s, keys_l = grid.keys(small), grid.keys(large)
+    far_l = _farthest(large, keys_l, small, keys_s, grid, r, plain=True)
+    far_s = _farthest(small, keys_s, large, keys_l, grid, far_l[0], plain=True)
+    (d_ab, i), (d_ba, j) = (far_l, far_s) if swap else (far_s, far_l)
     if d_ab >= d_ba:
-        near = _lowest_nearest(tree_b, b, a[i], d_ab)
-        return HausdorffResult(float(d_ab), a[i].copy(), near, "a_to_b")
-    near = _lowest_nearest(tree_a, a, b[j], d_ba)
-    return HausdorffResult(float(d_ba), near, b[j].copy(), "b_to_a")
+        return HausdorffResult(float(d_ab), a[i].copy(), _lowest_nearest(b, a[i], d_ab), "a_to_b")
+    return HausdorffResult(float(d_ba), _lowest_nearest(a, b[j], d_ba), b[j].copy(), "b_to_a")
 
 
 # rows of the strided sample that gives the kernel its lower bound
 _SAMPLE_ROWS = 4096
-# the grid may have at most this many cells per query and target row (a
-# map of at most 32 bytes per row), at most _MAX_CELLS in all, and at most
-# _AXIS_CELLS along an axis; a finer grid clears nothing
+# a grid may have at most this many cells per row it serves (a map of at
+# most 32 bytes per row), at most _MAX_CELLS in all (so a key fits in
+# int32), and at most _AXIS_CELLS along an axis (see `_kernel_grid` for a
+# grid r would make finer)
 _CELLS_PER_ROW = 8
 _MAX_CELLS = (1 << 31) - 1
 _AXIS_CELLS = 1 << 20
-# rows binned, looked up or queried at a time
+# rows binned, looked up or queried at a time, and the most cells a block of
+# `_nearest` may span
 _CHUNK_ROWS = 65_536
 
 
-def _sampled_max(query, tree, target, plain: bool) -> float:
-    """The exact directed maximum over a strided sample of about
-    _SAMPLE_ROWS query rows: a lower bound r to give `_farthest`."""
-    sample = np.arange(0, len(query), -(-len(query) // _SAMPLE_ROWS))
-    return _directed_max(query, sample, tree, target, plain)[0]
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """Cubes of side `side` from the corner lo: a box's cells, numbered from
+    1 along each axis, inside a ring of cells 0 and shape - 1, keyed
+    row-major.  On a grid of `_kernel_grid` two points in one cell are
+    strictly nearer than `clears`; it is 0 on a grid that only sorts rows
+    into blocks for `_nearest`."""
+
+    lo: np.ndarray
+    side: float
+    shape: np.ndarray
+    strides: np.ndarray
+    clears: float
+
+    @property
+    def cells(self) -> int:
+        return int(np.prod(self.shape))
+
+    def keys(self, pts: np.ndarray) -> np.ndarray:
+        """Each row's cell key as int32, binned _CHUNK_ROWS rows at a time;
+        a single cell's keys are all 0."""
+        if self.cells == 1:
+            return np.zeros(len(pts), dtype=np.int32)
+        out = np.empty(len(pts), dtype=np.int32)
+        for start in range(0, len(pts), _CHUNK_ROWS):
+            out[start : start + _CHUNK_ROWS] = _cell_keys(pts[start : start + _CHUNK_ROWS], self)
+        return out
 
 
-def _farthest(query, target, tree, r: float, plain: bool):
+def _box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low corner and extent of the rows' bounding box, taken one column at
+    a time, which numpy runs much faster than a min or max along axis 0 of
+    rows of length k."""
+    lo = np.array([pts[:, j].min() for j in range(pts.shape[1])])
+    return lo, np.array([pts[:, j].max() for j in range(pts.shape[1])]) - lo
+
+
+def _grid(lo, extent, side: float, max_cells: int, clears: float) -> _Grid | None:
+    """Cubes of side `side` over the box, or None when side is not positive
+    or the grid would have more than max_cells (or _MAX_CELLS) cells or
+    _AXIS_CELLS along an axis.  The cells start half a side before the
+    box, so a row just outside it (a cloud's extreme point, off from the
+    other cloud's by rounding) still shares the box's edge cells.  With at
+    most 2^20 cells per axis a cell coordinate is rounded by at most 2^-32
+    of a side."""
+    if not side > 0 or np.any(extent >= _AXIS_CELLS * side):
+        return None
+    shape = np.floor(extent / side + 0.5) + 3  # the box's cells and the ring
+    if np.prod(shape) > min(max_cells, _MAX_CELLS):
+        return None
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]  # row-major
+    return _Grid(lo - side / 2, side, shape, strides, clears)
+
+
+def _sampled_grid(query, target, plain: bool) -> tuple[float, _Grid]:
+    """r, the exact directed maximum over a strided sample of about
+    _SAMPLE_ROWS query rows, and `_kernel_grid`'s grid for r: the lower
+    bound and the grid a `_farthest` pass takes.  The sample's nearest
+    distances come from `_nearest` on `_spread_grid`'s grid over target.
+    Target's box is taken once for both grids."""
+    box = _box(target)
+    pts = query[:: -(-len(query) // _SAMPLE_ROWS)]
+    grid = _spread_grid(target, box, len(pts))
+    dist, idx = _nearest(pts, grid.keys(pts), target, grid.keys(target), grid, 1)
+    r = _top(pts, dist, idx, target, plain)[0]
+    return r, _kernel_grid(target, box, r, len(query))
+
+
+def _kernel_grid(target: np.ndarray, box, r: float, n_query: int) -> _Grid:
+    """The grid a `_farthest` pass clears by: cubes of side
+    r / (sqrt(k) (1 + 1e-9)) over target's box, so two points in one cube
+    are strictly nearer than r, with at most _CELLS_PER_ROW cells per row of
+    the query and target.  When that grid is too fine, the finest one up to
+    twice as coarse, in steps of 2^(1/8), that fits: its cubes are certain
+    only for a larger radius (`clears`), and `_cleared` tests a row's own
+    cell by distance.  When r is 0 or no such grid fits, the grid of
+    `_spread_grid`, which clears nothing."""
+    lo, extent = box
+    cap = _CELLS_PER_ROW * (n_query + len(target))
+    for scale in 2.0 ** (np.arange(9) / 8):
+        grid = _grid(lo, extent, r * scale / (np.sqrt(target.shape[1]) * (1 + 1e-9)), cap, r * scale)
+        if grid is not None:
+            return grid
+    return _spread_grid(target, box, n_query)
+
+
+def _spread_grid(target: np.ndarray, box, n_query: int) -> _Grid:
+    """A grid over target's box for the `_nearest` of n_query rows, with
+    about one target row per occupied cell, so that a row's block of 3^k
+    cells holds few target rows.
+
+    A cloud fills only part of its box: a trial grid, whose side is the
+    box's volume per row over the w axes the box spans, bins a stride of at
+    most _CHUNK_ROWS rows into c occupied cells.  Cells of side s would be
+    occupied about c (trial side / s)^w times, so s = trial side (c / n)^(1/w)
+    for n target rows, doubled while over _CELLS_PER_ROW cells per row or an
+    axis cap.  The grid is a single cell, whose keys are all 0 (`_nearest`
+    then builds one tree over all of target), when the rows' blocks could
+    name half as many cells as target has rows, or when even three cells
+    per axis are too many."""
+    k, n = target.shape[1], len(target)
+    single = _Grid(np.zeros(k), np.inf, np.ones(k), np.ones(k), 0.0)
+    if 2 * n_query * 3**k > n:
+        return single
+    lo, extent = box
+    wide = extent[extent > 0]
+    side = 1.0
+    if len(wide):
+        trial = target[:: -(-n // _CHUNK_ROWS)]
+        side = np.exp((np.log(wide).sum() - np.log(len(trial))) / len(wide))
+        grid = _grid(lo, extent, side, _CELLS_PER_ROW * len(trial), 0.0)
+        if grid is not None:
+            occupied = np.zeros(grid.cells, dtype=bool)
+            occupied[grid.keys(trial)] = True
+            side *= (np.count_nonzero(occupied) / n) ** (1 / len(wide))
+    while (grid := _grid(lo, extent, side, _CELLS_PER_ROW * n, 0.0)) is None:
+        if side > extent.max():
+            return single
+        side *= 2
+    return grid
+
+
+def _farthest(query, qkeys, target, tkeys, grid: _Grid, r: float, plain: bool) -> tuple[float, int]:
     """One direction of the directed-distance kernel: the largest distance
-    from a query row to its nearest target point, the lowest row at that
-    maximum, and the k-d tree over target (`tree`, or when None one built
-    here if a row is left), given a lower bound r on the answer.
+    from a query row to its nearest target point and the lowest row at that
+    maximum, given a lower bound r on the answer and each row's key on
+    grid (qkeys, tkeys).
 
-    Rows that `_cleared`'s grid clears (a target point in the row's own
-    cell, or one within r (1 - 1e-12) in a neighbouring cell), then rows
-    whose query bounded by r (1 - 1e-12) finds one, are strictly nearer
-    than r and drop out; the rest get `_directed_max`'s full query.  Each
-    drop rests on a real target point nearer than r, so every row at or
-    above r gets the full query, and the maximum and its row are exact
-    when the maximum reaches r; a maximum below r comes back as some value
-    below r, or as (-inf, -1) when no row is left.
+    Rows that `_cleared` clears (a target point in the row's own cell, or
+    one within r (1 - 1e-12) in a neighbouring cell) are strictly nearer
+    than r and drop out; each other row gets its exact nearest distance
+    from `_nearest`, whose first block holds every target point within r.
+    Each drop rests on a real target point nearer than r, so every row at
+    or above r is measured, and the maximum and its row are exact when the
+    maximum reaches r; a maximum below r comes back as some value below r,
+    or as (-inf, -1) when no row is left.
     """
-    cleared = _cleared(query, target, r)
+    cleared = _cleared(query, qkeys, target, tkeys, grid, r)
     rows = np.arange(len(query)) if cleared is None else np.flatnonzero(~cleared)
-    if len(rows) and tree is None:
-        tree = _kdtree(target)
-    if r > 0:
-        rows = _beyond(query, rows, tree, r * (1 - 1e-12))
-    top, best = _directed_max(query, rows, tree, target, plain)
-    return top, best, tree
+    pts = query[rows]
+    dist, idx = _nearest(pts, qkeys[rows], target, tkeys, grid, int(r / grid.side) + 1)
+    top, at = _top(pts, dist, idx, target, plain)
+    return top, int(rows[at]) if at >= 0 else -1
 
 
-def _beyond(query, rows, tree, bound: float) -> np.ndarray:
-    """The rows, in their order, whose bounded query finds no tree point
-    within `bound`; queried _CHUNK_ROWS at a time."""
-    left = [np.empty(0, dtype=np.intp)]
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        dist, _ = tree.query(query[chunk], distance_upper_bound=bound)
-        left.append(chunk[np.isinf(dist)])
-    return np.concatenate(left)
+def _top(pts, dist, idx, target, plain: bool) -> tuple[float, int]:
+    """Largest of the rows' nearest distances and the first row attaining
+    it; (-inf, -1) when there are no rows.  Distances are the tree's own,
+    or with `plain` the plain formula over each row's nearest target row
+    idx: the tree's distance differs from it by a few ulps, so the rows at
+    the plain maximum are among those within a relative 1e-12 of the
+    tree's, and only those get the plain formula."""
+    if not len(dist):
+        return -np.inf, -1
+    if plain:
+        near = np.flatnonzero(dist >= dist.max() * (1 - 1e-12))
+        exact = _distances(pts[near], target[idx[near]])
+        top = exact.max()
+        return top, int(near[np.argmax(exact == top)])
+    top = dist.max()
+    return top, int(np.argmax(dist == top))
 
 
-def _directed_max(query, rows, tree, target, plain: bool) -> tuple[float, int]:
-    """Largest nearest distance over query[rows] and the lowest of those
-    rows attaining it; (-inf, -1) when rows is empty.  Rows are queried
-    _CHUNK_ROWS at a time, so no temporary grows with the number of rows.
-    Distances are the tree's own, or with `plain` the plain formula over
-    the tree's nearest neighbor: the tree's distance differs from it by a
-    few ulps, so the rows at the plain maximum are among those within a
-    relative 1e-12 of the tree's, and only those get the plain formula."""
-    top, best = -np.inf, -1
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        pts = query[chunk]
-        dist, idx = tree.query(pts)
-        if plain:
-            near = np.flatnonzero(dist >= dist.max() * (1 - 1e-12))
-            dist = _distances(pts[near], target[idx[near]])
-        peak = dist.max()
-        if peak >= top:
-            at = np.flatnonzero(dist == peak)
-            if plain:
-                at = near[at]
-            low = int(chunk[at].min())
-            best = low if peak > top else min(best, low)
-            top = peak
-    return top, best
+def _nearest(pts, keys, target, tkeys, grid: _Grid, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest distance to target, as a k-d tree over all of
+    target measures it, and a target row at that distance; keys and tkeys
+    are the rows' and target's keys on grid.
+
+    A round builds a tree over the target rows in the cells within `reach`
+    cells of a row's cell along every axis (`_block_rows`), and queries the
+    rows with distance_upper_bound reach side (1 - 1e-8).  Every target
+    point that near a row lies in its block: along each axis their cells
+    are at most reach apart, also after clamping onto the ring, which only
+    moves cells closer, and the keys' rounding stays inside the margin,
+    since one of the two lies in the box.  So a distance found is the
+    nearest over all of target, bit for bit the whole tree's: a tree's
+    distance for a pair depends on neither its shape nor its other rows.
+    Rows that find nothing, or whose blocks hold no target row, go again
+    with reach doubled.  When the blocks would hold more than half the
+    target, the round builds the tree over all of target and queries
+    without a bound, which ends the loop.
+    """
+    dist = np.full(len(pts), np.inf)
+    idx = np.zeros(len(pts), dtype=np.intp)
+    todo = np.arange(len(pts))
+    while len(todo):
+        rows = _block_rows(keys[todo], tkeys, grid, reach)
+        if rows is not None and not len(rows):
+            reach *= 2
+            continue
+        tree = _kdtree(target if rows is None else target[rows])
+        bound = np.inf if rows is None else reach * grid.side * (1 - 1e-8)
+        for start in range(0, len(todo), _CHUNK_ROWS):
+            chunk = todo[start : start + _CHUNK_ROWS]
+            found, near = tree.query(pts[chunk], distance_upper_bound=bound)
+            hit = np.isfinite(found)
+            dist[chunk[hit]] = found[hit]
+            idx[chunk[hit]] = near[hit] if rows is None else rows[near[hit]]
+        todo = todo[np.isinf(dist[todo])]
+        reach *= 2
+    return dist, idx
 
 
-def _cleared(query: np.ndarray, target: np.ndarray, r: float) -> np.ndarray | None:
+def _block_rows(keys, tkeys, grid: _Grid, reach: int) -> np.ndarray | None:
+    """The target rows, ascending, whose cells lie within `reach` cells of
+    some key's cell along every axis; None when they are more than half the
+    target, when a block spans the whole grid, or when a block would span
+    more than _CHUNK_ROWS cells.  A key offset that wraps past the end of a
+    grid row names another cell, and one past the map's ends is clipped
+    onto an end cell: either only adds rows.  The cell map takes a byte a
+    cell, and the offsets of at most _CHUNK_ROWS cells are taken at a
+    time."""
+    width = np.arange(-reach, reach + 1)
+    if np.all(grid.shape <= len(width)) or len(width) ** len(grid.strides) > _CHUNK_ROWS:
+        return None
+    steps = np.zeros(1, dtype=np.intp)
+    for stride in grid.strides:
+        steps = (steps[:, None] + width * int(stride)).ravel()
+    wanted = np.zeros(grid.cells, dtype=bool)
+    per = _CHUNK_ROWS // len(steps)
+    for start in range(0, len(keys), per):
+        cells = keys[start : start + per, None] + steps
+        wanted[np.clip(cells, 0, grid.cells - 1, out=cells)] = True
+    rows = np.flatnonzero(wanted[tkeys])
+    return rows if 2 * len(rows) <= len(tkeys) else None
+
+
+def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray | None:
     """Mask of the query rows that a target point certainly lies nearer
-    than r to, or None, clearing nothing, when r is 0 or the grid would be
-    too fine.
+    than r to, or None, clearing nothing, when r is 0 or the grid clears
+    nothing (`_spread_grid`'s).
 
-    The grid covers target's bounding box with cubes of side
-    r / (sqrt(k) (1 + 1e-9)), so two points in one cube are strictly nearer
-    than r.  The box is taken one column at a time, which numpy runs much
-    faster than a min or max along axis 0 of rows of length k, and needs no
-    tree over target.  The cells start half a side before the box, so a
-    query row just outside it (a cloud's extreme point, off from the other
-    cloud's by rounding) still shares the box's edge cells.  With at most
-    2^20 cells per axis a cell coordinate is rounded by at most 2^-32 of a
-    side, well inside the 1e-9 margin.  A ring of cells that no target
-    point occupies surrounds the box, and a query row outside the grid is
-    clamped onto it.
-
-    Each occupied cell remembers one of its target rows in an int32 map, -1
-    where the cell is empty; which one does not matter.  A row whose own
-    cell is occupied is cleared.  Each other row walks its cell's 3^k - 1
-    neighbours, face neighbours first, and is cleared once a neighbour's
-    target row lies within r (1 - 1e-12) by the plain squared formula.  A
-    cleared row is thus nearer than r by a real target point, and every
-    row at or above r is left.  Only a row on the ring has neighbours past
-    the grid's edge; their keys wrap onto other ring cells, or are clipped
-    onto the map's end cells, which are ring cells too, and hold no target
-    row.
+    The grid covers the box of the query or of the target, so one of any
+    pair lies in the box, never on the ring, and two rows with one key
+    share a cell.  Each occupied cell remembers one of its target rows in
+    an int32 map, -1 where the cell is empty; which one does not matter.
+    When the grid's cells hold no two points r or more apart (`clears` at
+    most r), a row whose own cell is occupied is cleared; on a coarser grid
+    the own cell is walked first, like a neighbour.  Each other row walks
+    its cell's 3^k - 1 neighbours, face neighbours first, and is cleared
+    once a neighbour's target row lies within r (1 - 1e-12) by the plain
+    squared formula.  A cleared row is thus nearer than r by a real target
+    point, and every row at or above r is left.  Only a row on the ring has
+    neighbours past the grid's edge; their keys wrap onto other cells, or
+    are clipped onto the map's end cells, and a target row found there
+    clears the row only by its distance.
 
     The map takes 4 bytes a cell, at most 4 _CELLS_PER_ROW = 32 bytes per
     query and target row, and the mask one byte per query row.  Rows are
-    binned, looked up and walked _CHUNK_ROWS at a time, with at most 64 k
-    bytes of temporaries per row of a chunk.
+    looked up and walked _CHUNK_ROWS at a time, with at most 64 k bytes of
+    temporaries per row of a chunk.
     """
-    k = query.shape[1]
-    side = r / (np.sqrt(k) * (1 + 1e-9))
-    if not side > 0:
+    if not (grid.clears > 0 and r > 0):
         return None
-    lo = np.array([target[:, j].min() for j in range(k)])
-    extent = np.array([target[:, j].max() for j in range(k)]) - lo
-    if np.any(extent >= _AXIS_CELLS * side):
-        return None
-    lo -= side / 2
-    shape = np.floor(extent / side + 0.5) + 3  # the box's cells and the ring
-    if np.prod(shape) > min(_CELLS_PER_ROW * (len(query) + len(target)), _MAX_CELLS):
-        return None
-    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]  # row-major
-    occupant = np.full(int(np.prod(shape)), -1, dtype=np.int32)
+    occupant = np.full(grid.cells, -1, dtype=np.int32)
     for start in range(0, len(target), _CHUNK_ROWS):
-        keys = _cell_keys(target[start : start + _CHUNK_ROWS], lo, side, shape, strides)
+        keys = tkeys[start : start + _CHUNK_ROWS]
         occupant[keys] = np.arange(start, start + len(keys), dtype=np.int32)
-    steps = _neighbour_steps(strides)
+    own_cell_clears = grid.clears <= r
+    steps = _neighbour_steps(grid.strides) if own_cell_clears else [0, *_neighbour_steps(grid.strides)]
     bound = (r * (1 - 1e-12)) ** 2
     cleared = np.ones(len(query), dtype=bool)
     for start in range(0, len(query), _CHUNK_ROWS):
         pts = query[start : start + _CHUNK_ROWS]
-        keys = _cell_keys(pts, lo, side, shape, strides)
-        left = np.flatnonzero(occupant[keys] < 0)
+        keys = qkeys[start : start + _CHUNK_ROWS].astype(np.intp)
+        left = np.flatnonzero(occupant[keys] < 0) if own_cell_clears else np.arange(len(keys))
+        keys = keys[left]
         for step in steps:
             if not len(left):
                 break
-            near = occupant[np.clip(keys[left] + step, 0, len(occupant) - 1)]
+            near = occupant.take(keys + step, mode="clip")
             hit = np.flatnonzero(near >= 0)
-            diff = pts[left[hit]] - target[near[hit]]
-            left = np.delete(left, hit[np.einsum("ij,ij->i", diff, diff) < bound])
+            rows, near = left[hit], near[hit]
+            # one axis at a time: numpy gathers columns faster than rows
+            squared = np.zeros(len(hit))
+            for j in range(pts.shape[1]):
+                diff = pts[rows, j] - target[near, j]
+                diff *= diff
+                squared += diff
+            keep = np.ones(len(left), dtype=bool)
+            keep[hit[squared < bound]] = False
+            left, keys = left[keep], keys[keep]
         cleared[start + left] = False
     return cleared
 
@@ -778,22 +938,26 @@ def _neighbour_steps(strides) -> list[int]:
     return [int(np.dot(o, strides)) for o in offsets]
 
 
-def _cell_keys(pts, lo, side, shape, strides) -> np.ndarray:
+def _cell_keys(pts, grid: _Grid) -> np.ndarray:
     """Key of each row's cell, rows outside the box clamped onto the ring.
-    The keys are exact: float64 holds every integer below 2^53.  The axes
-    are taken one at a time, which numpy runs faster than rows of length
-    k."""
-    keys = np.zeros(len(pts))
+    The keys are exact integers in float64, which holds every integer below
+    2^53.  The axes are taken one at a time, which numpy runs faster than
+    rows of length k."""
+    keys = np.empty(len(pts))
     cell = np.empty(len(pts))
     for j in range(pts.shape[1]):
-        np.subtract(pts[:, j], lo[j], out=cell)
-        cell /= side
+        np.subtract(pts[:, j], grid.lo[j], out=cell)
+        cell /= grid.side
         np.floor(cell, out=cell)
-        cell += 1
-        np.clip(cell, 0, shape[j] - 1, out=cell)
-        cell *= strides[j]
-        keys += cell
-    return keys.astype(np.intp)
+        # cell - 1 along the axis, 1 added back per axis at the end
+        np.clip(cell, -1, grid.shape[j] - 2, out=cell)
+        if j:
+            cell *= grid.strides[j]
+            keys += cell
+        else:
+            np.multiply(cell, grid.strides[j], out=keys)
+    keys += grid.strides.sum()
+    return keys
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -801,12 +965,15 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((p - q) ** 2, axis=1))
 
 
-def _lowest_nearest(tree, pts: np.ndarray, x: np.ndarray, dist: float) -> np.ndarray:
+def _lowest_nearest(pts: np.ndarray, x: np.ndarray, dist: float) -> np.ndarray:
     """The lowest row of pts at distance dist from x, dist being x's nearest
-    distance by the plain formula.  The ball query returns every row the
-    tree puts within a hair of dist (its arithmetic may differ in the last
-    bit), the plain formula then picks among them."""
-    rows = np.sort(np.asarray(tree.query_ball_point(x, dist * (1 + 1e-12)), dtype=np.intp))
+    distance by the plain formula.  Such a row lies within dist of x along
+    every axis: the rows within dist (1 + 1e-9) are found one column at a
+    time, with no tree, and the plain formula picks among them."""
+    reach = dist * (1 + 1e-9)
+    rows = np.flatnonzero(np.abs(pts[:, 0] - x[0]) <= reach)
+    for j in range(1, pts.shape[1]):
+        rows = rows[np.abs(pts[rows, j] - x[j]) <= reach]
     return pts[rows[np.flatnonzero(_distances(x, pts[rows]) == dist)[0]]].copy()
 
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rauzy.adic import SubstitutionSet, parse_sequence_spec
 from rauzy.cli import MAX_CONTINUITY_ROWS, MAX_DEPTH, _check_flags, build_parser, main
@@ -250,6 +252,38 @@ def test_bad_flags_refused_before_output(tribo_path, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # image flags are checked also when no image is written
+        ["fractal", "--points", "300", "--height", "-800"],
+        ["gifs", "--depth", "3", "--margin", "0.5"],
+        # an output path that names a directory, or a file in a missing one
+        ["fractal", "--points", "300", "--out", "."],
+        ["gifs", "--depth", "3", "--out", "no-such-dir/gifs.csv", "--format", "both"],
+        ["fractal", "--points", "300", "--out", ""],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_image_flags_and_output_paths_refused_before_output(tribo_path, capsys, argv):
+    assert main([argv[0], "--subs", tribo_path, *argv[1:]]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unwritable_output_is_a_resource_error(tribo_path, tmp_path, capsys, monkeypatch):
+    # a write that fails after the checks (a full disk, a permission) is
+    # exit 4 with no traceback
+    from rauzy import cli
+
+    def write_points_csv(approx, path):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "write_points_csv", write_points_csv)
+    argv = ["fractal", "--subs", tribo_path, "--points", "300", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 4
+    assert "cannot write" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -673,3 +707,113 @@ def test_continuity_accepts_n_min_zero(tribo_path):
     )
     assert proc.returncode == 0
     assert "agree   0: hausdorff" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated argv, in process
+
+
+def _run_main(argv, capsys):
+    """main's exit code, an argparse refusal's SystemExit code included, and
+    what the run printed on stdout."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().out
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cmd=st.sampled_from(["gifs", "compare"]),
+    subs=st.sampled_from(["tribo", "tetra"]),
+    seq=st.sampled_from(["(1)", "(2)", "12(21)", "random:3", "random:17"]),
+    budget=st.integers(100, 400),
+    depth=st.integers(1, 14),
+    points=st.integers(1, 400),
+)
+def test_generated_thinned_runs_keep_the_exit_contract(data_dir, capsys, monkeypatch, cmd, subs, seq, budget, depth, points):
+    # budgets of 100-400 points thin every level past the first few, so the
+    # thinning loss runs through the distance kernel on tiny clouds
+    monkeypatch.delenv("RAUZY_POINT_BUDGET", raising=False)
+    argv = [cmd, "--subs", str(data_dir / f"{subs}.subs"), "--seq", seq, "--budget", str(budget), "--depth", str(depth)]
+    if cmd == "compare":
+        argv += ["--points", str(points)]
+    code, out = _run_main(argv, capsys)
+    # a refusal prints nothing on stdout: a sequence spec naming a
+    # substitution the set lacks is exit 2, a subtile the projection leaves
+    # empty exit 3
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert "error-bound" in out
+    else:
+        assert out == ""
+
+
+# small sizes for every command; the generated flag value comes last and
+# overrides the one given here
+_SMALL_ARGV = {
+    "info": [],
+    "fractal": ["--points", "300"],
+    "gifs": ["--depth", "4", "--budget", "200"],
+    "compare": ["--points", "300", "--depth", "4", "--budget", "300"],
+    "continuity": ["--base", "(1)", "--variant", "(2)", "--n-max", "2", "--points", "300"],
+    "balance": ["--len", "200", "--k-max", "3"],
+    "cover": ["--points", "300", "--radius", "0.2", "--step", "0.1"],
+    "check": [],
+    "render": ["--out", "never-written.ppm"],
+}
+_BAD_INTS = ["", "x", "1.5", "1e3", "0x10", "nan"]
+_BAD_FLOATS = ["", "x", "nan", "inf", "-inf", "1e999"]
+_BAD_SEQS = ["((", "", "random:", "random:x", "1(", "(9)", "()"]
+# values each flag refuses: its type's malformed text, then out-of-range values
+_BAD_VALUES = {
+    "--subs": ["", "no-such-file.subs", "."],
+    "--in": ["", "no-such-file.csv", "."],
+    "--seq": _BAD_SEQS,
+    "--base": _BAD_SEQS,
+    "--variant": _BAD_SEQS,
+    "--seed": _BAD_INTS,
+    "--chain": _BAD_INTS + ["-1"],
+    "--budget": _BAD_INTS + ["-1", "0", "99"],
+    "--points": _BAD_INTS + ["-3", "0"],
+    "--depth": _BAD_INTS + ["-3", "0", "1001"],
+    "--len": _BAD_INTS + ["-3", "0"],
+    "--k-max": _BAD_INTS + ["0", "201"],
+    "--factor-len": _BAD_INTS + ["-1", "101"],
+    "--n-min": _BAD_INTS + ["-1", "3"],
+    "--n-max": _BAD_INTS + ["-1"],
+    "--stride": _BAD_INTS + ["-1", "0"],
+    "--width": _BAD_INTS + ["-800", "15"],
+    "--height": _BAD_INTS + ["-800", "15"],
+    "--margin": _BAD_FLOATS + ["-0.1", "0.5"],
+    "--step": _BAD_FLOATS + ["-1", "0"],
+    "--radius": _BAD_FLOATS + ["-1"],
+    "--eps": _BAD_FLOATS + ["-1", "0"],
+    "--tol": _BAD_FLOATS + ["-1"],
+    "--format": ["", "gif"],
+    "--out": ["", ".", "no-such-dir/out.csv"],
+    "--inject-fault": ["", "bogus"],
+}
+
+
+def _flags(cmd):
+    """The long options of a command, from its parser."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "cmd"]
+    return sorted(o for a in sub.choices[cmd]._actions for o in a.option_strings if o.startswith("--") and o != "--help")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_flag_values_exit_2_with_nothing_on_stdout(data_dir, capsys, monkeypatch, data):
+    monkeypatch.delenv("RAUZY_POINT_BUDGET", raising=False)
+    cmd = data.draw(st.sampled_from(sorted(_SMALL_ARGV)))
+    flag = data.draw(st.sampled_from(_flags(cmd)))
+    value = data.draw(st.sampled_from(_BAD_VALUES[flag]))
+    head = [cmd, "--in", "no-such-file.csv"] if cmd == "render" else [cmd, "--subs", str(data_dir / "tribo.subs")]
+    code, out = _run_main(head + _SMALL_ARGV[cmd] + [f"{flag}={value}"], capsys)
+    assert code in (2, 4)
+    if code == 2:
+        assert out == ""

@@ -754,24 +754,45 @@ def test_coverage_mask_equals_natural_order_reference(which, radius, step, seed,
             assert 0 < rep.covered < rep.total
 
 
-def test_coverage_queries_are_bounded_and_centre_first(tribo_set, tribo_sd, monkeypatch):
+@pytest.fixture
+def kdtree_log(monkeypatch):
+    """The one counting spy on scipy's cKDTree.  "builds" holds every build
+    as (the calling function, the rows, the other positional arguments,
+    the keyword arguments); "queries" every `query` call as (the query
+    rows, the distance_upper_bound or None, the tree's points, the
+    distances).  "cKDTree" is the class the spy stands in for, to build
+    references that are not logged."""
+    import sys
+
     import scipy.spatial
 
-    calls = []
+    base = scipy.spatial.cKDTree
+    log = {"builds": [], "queries": [], "cKDTree": base}
 
-    class CountingKDTree(scipy.spatial.cKDTree):
+    class CountingKDTree(base):
+        def __init__(self, data, *args, **kwargs):
+            log["builds"].append((sys._getframe(1).f_code.co_name, len(data), args, kwargs))
+            super().__init__(data, *args, **kwargs)
+
         def query(self, x, *args, **kwargs):
-            calls.append((len(x), kwargs.get("distance_upper_bound", np.inf)))
-            return super().query(x, *args, **kwargs)
+            dist, idx = super().query(x, *args, **kwargs)
+            log["queries"].append((np.array(x), kwargs.get("distance_upper_bound"), self.data, dist))
+            return dist, idx
 
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    return log
+
+
+def test_coverage_queries_are_bounded_and_centre_first(tribo_set, tribo_sd, kdtree_log):
     approx = project_prefixes(CONST_1, tribo_set, 20_000)
     gamma = gamma_generators(tribo_sd)
     want, natural = _natural_order_coverage(approx, gamma, 1.0, 0.05, 0.05)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    kdtree_log["queries"].clear()
     rep = coverage_estimate(approx, gamma, 1.0, 0.05)
     assert np.array_equal(rep.mask, want)
-    assert calls and all(np.isfinite(bound) for _, bound in calls)
-    assert sum(n for n, _ in calls) < natural
+    queries = kdtree_log["queries"]
+    assert queries and all(bound is not None and np.isfinite(bound) for _, bound, _, _ in queries)
+    assert sum(len(x) for x, _, _, _ in queries) < natural
 
 
 def test_adapted_frame_consistency(tribo_sd):
@@ -866,21 +887,10 @@ def test_gifs_thinning_equals_balanced_tree_reference(tribo_set, tetra_set, monk
             assert res.points[i].tobytes() == want.points[i].tobytes()
 
 
-def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, monkeypatch):
-    import sys
-
-    import scipy.spatial
-
+def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, kdtree_log):
     from rauzy import fractal
 
-    builds = []
-
-    class CountingKDTree(scipy.spatial.cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            builds.append((sys._getframe(1).f_code.co_name, args, kwargs))
-            super().__init__(data, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+    builds = kdtree_log["builds"]
     calls = {
         "gifs_attractor": lambda: gifs_attractor(CONST_1, tribo_set, 10, budget=500),
         "hausdorff": lambda: hausdorff(np.zeros((3, 2)), np.ones((4, 2))),
@@ -897,7 +907,7 @@ def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, monkeypatch):
         assert len(builds) > before, name
     assert all(
         caller == "_kdtree" and not args and kwargs == {"balanced_tree": False, "compact_nodes": False}
-        for caller, args, kwargs in builds
+        for caller, _, args, kwargs in builds
     )
 
 
@@ -915,8 +925,8 @@ def cleared_log(monkeypatch):
     log = []
     inner = fractal._cleared
 
-    def spy(query, target, r):
-        mask = inner(query, target, r)
+    def spy(query, *args):
+        mask = inner(query, *args)
         log.append((None if mask is None else int(mask.sum()), len(query)))
         return mask
 
@@ -1021,26 +1031,44 @@ def test_kernel_grid_too_fine_clears_nothing(cleared_log, monkeypatch):
     b[17] += 1e-12  # the distance is far below the cloud's spacing
     _assert_both_ways(a, b)
     assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
-    # a grid within the cell cap but over the per-axis cap clears nothing too
+    # a grid within the cell cap but over the per-axis cap is never built:
+    # one up to twice as coarse clears in its place when it fits, and with
+    # no box cell allowed along the axis nothing clears
     cleared_log.clear()
     c = rng.random((2000, 1))
     d = np.vstack([c, [[1.5]]])
     _assert_both_ways(c, d)
     assert any(cleared is not None for cleared, _ in cleared_log)
-    cleared_log.clear()
+    grids = []
+    inner = fractal._cleared
+
+    def grid_spy(query, qkeys, target, tkeys, grid, r):
+        grids.append(grid)
+        return inner(query, qkeys, target, tkeys, grid, r)
+
+    monkeypatch.setattr(fractal, "_cleared", grid_spy)
     monkeypatch.setattr(fractal, "_AXIS_CELLS", 1)
+    _assert_both_ways(c, d)
+    assert grids and all(g.shape[0] - 3 <= fractal._AXIS_CELLS for g in grids)
+    cleared_log.clear()
+    monkeypatch.setattr(fractal, "_AXIS_CELLS", 0)
     _assert_both_ways(c, d)
     assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
 
 
 def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tetra_set, monkeypatch):
+    from scipy.spatial import cKDTree
+
     from rauzy import fractal
 
     cases = [(tribo_set, 14, 3000), (_permuted_family(tetra_set[0], 3), 12, 4000)]
     got = [gifs_attractor(DirectiveSequence.random(4, len(s)), s, depth, budget=cap) for s, depth, cap in cases]
-    # no grid and no bounded queries: every removed point gets the full query
-    monkeypatch.setattr(fractal, "_cleared", lambda query, target, r: None)
-    monkeypatch.setattr(fractal, "_beyond", lambda query, rows, tree, bound: rows)
+
+    def every_removed_point(sd, kept, removed):
+        # a tree over the whole kept cloud, queried by every removed point
+        return float(cKDTree(to_adapted(sd, kept)).query(to_adapted(sd, removed))[0].max())
+
+    monkeypatch.setattr(fractal, "_thinning_loss", every_removed_point)
     for (sset, depth, cap), res in zip(cases, got):
         want = gifs_attractor(DirectiveSequence.random(4, len(sset)), sset, depth, budget=cap)
         assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
@@ -1048,65 +1076,44 @@ def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tet
         assert res.meta["error_bound"] == want.meta["error_bound"]
 
 
-def test_kernel_query_counts_on_compare_and_set_equation_pairs(tribo_set, tribo_sd, monkeypatch):
-    import sys
-
-    import scipy.spatial
-
-    builds, queried = [], []
-
-    class CountingKDTree(scipy.spatial.cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            builds.append(sys._getframe(1).f_code.co_name)
-            super().__init__(data, *args, **kwargs)
-
-        def query(self, x, *args, **kwargs):
-            queried.append(len(x))
-            return super().query(x, *args, **kwargs)
-
+def test_kernel_query_counts_on_compare_and_set_equation_pairs(tribo_set, tribo_sd, kdtree_log):
+    builds, queries = kdtree_log["builds"], kdtree_log["queries"]
     seq = DirectiveSequence.random(3, len(tribo_set))
     proj = project_prefixes(seq, tribo_set, 20_000)
     gifs = gifs_attractor(seq, tribo_set, 17)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
     # a projection cloud against a denser GIFS cloud: most rows are cleared
     for i in range(1, 4):
         a, b = to_adapted(tribo_sd, proj.points[i]), to_adapted(tribo_sd, gifs.points[i])
-        queried.clear()
+        queries.clear()
         hausdorff(a, b)
-        assert sum(queried) < len(a) + len(b)
+        assert sum(len(x) for x, _, _, _ in queries) < len(a) + len(b)
     # the set equation pairs its two sides by index: it builds no tree
     n_builds = len(builds)
     set_equation_check(seq, tribo_set, 20_000)
     assert len(builds) == n_builds
     assert gifs_attractor(seq, tribo_set, 12, budget=3000).meta["thinned"]
-    assert builds and all(caller == "_kdtree" for caller in builds)
+    assert builds and all(caller == "_kdtree" for caller, _, _, _ in builds)
 
 
-@pytest.fixture
-def kdtree_log(monkeypatch):
-    """Every k-d tree build's size, and every `query` call as (rows, the
-    distance_upper_bound or None, the tree's points, the distances)."""
-    import scipy.spatial
-
-    log = {"builds": [], "queries": []}
-
-    class CountingKDTree(scipy.spatial.cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            log["builds"].append(len(data))
-            super().__init__(data, *args, **kwargs)
-
-        def query(self, x, *args, **kwargs):
-            dist, idx = super().query(x, *args, **kwargs)
-            log["queries"].append((np.array(x), kwargs.get("distance_upper_bound"), self.data, dist))
-            return dist, idx
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
-    return log
-
-
-def test_kernel_builds_no_tree_over_the_larger_cloud_it_need_not_query(tetra_set, kdtree_log):
+def test_kernel_builds_no_tree_over_the_larger_cloud_it_need_not_query(tetra_set, kdtree_log, monkeypatch):
     # an unthinned 4-bonacci GIFS cloud holds every projected point (up to
-    # rounding): no row of the projection can reach the sampled bound
+    # rounding): no row of the projection can reach the sampled bound, and
+    # the projection's pass reuses the first pass's grid and keys
+    from rauzy import fractal
+
+    binned, passes = [], []
+    inner_keys, inner_pass = fractal._cell_keys, fractal._farthest
+
+    def keys_spy(pts, grid):
+        binned.append(len(pts))
+        return inner_keys(pts, grid)
+
+    def pass_spy(query, *args, **kwargs):
+        passes.append((len(query), len(binned)))
+        return inner_pass(query, *args, **kwargs)
+
+    monkeypatch.setattr(fractal, "_cell_keys", keys_spy)
+    monkeypatch.setattr(fractal, "_farthest", pass_spy)
     sd = tetra_set.spectral()
     seq = DirectiveSequence.random(0, len(tetra_set))
     proj = project_prefixes(seq, tetra_set, 20_000)
@@ -1116,58 +1123,92 @@ def test_kernel_builds_no_tree_over_the_larger_cloud_it_need_not_query(tetra_set
         a, b = to_adapted(sd, proj.points[i]), to_adapted(sd, gifs.points[i])
         assert len(a) < len(b)
         kdtree_log["builds"].clear()
-        hausdorff(a, b)
-        hausdorff(b, a)
-        assert kdtree_log["builds"] and max(kdtree_log["builds"]) <= len(a)
+        for pair in ((a, b), (b, a)):
+            binned.clear()
+            passes.clear()
+            hausdorff(*pair)
+            # the larger cloud first; the second pass bins no row, and the
+            # larger cloud's rows are binned once
+            assert [n for n, _ in passes] == [len(b), len(a)]
+            assert passes[1][1] == len(binned)
+            assert sum(binned) < 2 * len(b)
+        assert kdtree_log["builds"] and max(n for _, n, _, _ in kdtree_log["builds"]) <= len(a)
         _assert_both_ways(a, b)
 
 
 def test_kernel_builds_the_larger_tree_for_a_far_outlier(kdtree_log):
+    # the outlier's nearest row lies dozens of cells away: its blocks widen
+    # until they hold most of the larger cloud, whose tree is then built
+    # whole; the distance, the direction and both witnesses are brute
+    # force's
     rng = np.random.default_rng(11)
     large = rng.random((6000, 2))
     small = np.vstack([rng.random((300, 2)), [[2.5, -1.0]]])
-    res = hausdorff(small, large)
-    assert len(large) in kdtree_log["builds"]
-    assert res.direction == "a_to_b" and res.point_a.tolist() == [2.5, -1.0]
-    kdtree_log["builds"].clear()
-    hausdorff(large, small)
-    assert len(large) in kdtree_log["builds"]
+    to_outlier = np.sqrt(((large - small[-1]) ** 2).sum(axis=1))
+    nearest = _nearest(small, large)
+    assert nearest.argmax() == len(small) - 1
+    for res, far, near in ((hausdorff(small, large), "point_a", "point_b"), (hausdorff(large, small), "point_b", "point_a")):
+        assert res.distance == nearest.max() == to_outlier.min()
+        assert res.direction == ("a_to_b" if far == "point_a" else "b_to_a")
+        assert getattr(res, far).tolist() == [2.5, -1.0]
+        assert getattr(res, near).tobytes() == large[np.argmin(to_outlier)].tobytes()
     _assert_both_ways(small, large)
+
+
+def _owner(data, clouds):
+    """The cloud whose rows a tree holds: the clouds share no row."""
+    rows = {row.tobytes() for row in data}
+    (owner,) = [c for c in clouds if rows <= {row.tobytes() for row in c}]
+    return owner
 
 
 @pytest.mark.parametrize("seed", [12, 13])
 def test_kernel_full_queries_only_rows_at_or_above_the_bound(seed, kdtree_log):
     rng = np.random.default_rng(seed)
-    # both sides hold rows far from the other: each direction keeps rows
-    # for the full query after the bounded one
-    large = np.vstack([rng.random((5000, 2)), [[1.6, 0.5]], [[-0.4, 0.2]]])
-    small = np.vstack([rng.random((400, 2)), [[0.5, 2.5]]])
-    hausdorff(large, small)
-    (sample, no_bound, _, sample_dist), *rest = kdtree_log["queries"]
-    assert no_bound is None and len(sample) < len(large)
-    # one bound, r (1 - 1e-12), r the sample's maximum
-    (bound,) = {bound for _, bound, _, _ in rest if bound is not None}
-    assert bound == pytest.approx(sample_dist.max() * (1 - 1e-12), rel=1e-14)
-    full = [(x, data) for x, b, data, _ in rest if b is None]
-    assert sum(len(x) for x, _ in full) < len(large) + len(small)
-    assert {len(data) for _, data in full} == {len(large), len(small)}
-    for x, data in full:
-        nearest = np.sqrt(((x[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
-        assert np.all(nearest >= bound)
-    _assert_both_ways(large, small)
+    widened = 0
+    # both sides hold rows far from the other: each direction leaves rows
+    # after the grid.  Rows 0.4 to 1.5 away from the other cloud need
+    # blocks that hold most of it.  Then the sample's farthest row is 0.2
+    # away, and the rows 0.45 away, which the stride-2 sample skips, find
+    # nothing in their first blocks and take wider ones
+    far = [[-0.2, 0.2], [1.45, 0.5], [0.5, 0.5], [0.5, -0.45]]
+    for far_large, far_small in (([[1.6, 0.5], [-0.4, 0.2]], [[0.5, 2.5]]), (far, [[0.5, 1.25]])):
+        large = np.vstack([rng.random((5000, 2)), far_large])
+        small = np.vstack([rng.random((400, 2)), far_small])
+        kdtree_log["queries"].clear()
+        hausdorff(large, small)
+        whole = {id(c): kdtree_log["cKDTree"](c) for c in (large, small)}
+        for x, bound, data, dist in kdtree_log["queries"]:
+            owner = _owner(data, (large, small))
+            want = whole[id(owner)].query(x)[0]
+            if bound is None:
+                # an unbounded query runs only on a tree over a whole cloud
+                assert len(data) == len(owner)
+                assert dist.tobytes() == want.tobytes()
+                continue
+            # a tree over part of a cloud finds each row's nearest distance
+            # over the whole cloud, bit for bit, or nothing when that is at
+            # or above the bound: only those rows are queried again
+            found = np.isfinite(dist)
+            assert dist[found].tobytes() == want[found].tobytes()
+            assert np.all(want[~found] >= bound)
+            widened += int(np.count_nonzero(~found))
+        assert sum(len(x) for x, _, _, _ in kdtree_log["queries"]) < len(large) + len(small)
+        _assert_both_ways(large, small)
+    assert widened
 
 
 def test_kernel_bounds_the_smaller_set_at_the_larger_sets_maximum(monkeypatch):
     from rauzy import fractal
 
     bounds = []
-    inner = fractal._beyond
+    inner = fractal._farthest
 
-    def spy(query, rows, tree, bound):
-        bounds.append((len(query), bound))
-        return inner(query, rows, tree, bound)
+    def spy(query, qkeys, target, tkeys, grid, r, plain):
+        bounds.append((len(query), r))
+        return inner(query, qkeys, target, tkeys, grid, r, plain=plain)
 
-    monkeypatch.setattr(fractal, "_beyond", spy)
+    monkeypatch.setattr(fractal, "_farthest", spy)
     rng = np.random.default_rng(14)
     # the larger set's farthest row, 5001, is not in the stride-2 sample
     large = np.vstack([rng.random((5000, 2)), [[1.6, 0.5]], [[-0.9, 0.2]]])
@@ -1177,13 +1218,28 @@ def test_kernel_bounds_the_smaller_set_at_the_larger_sets_maximum(monkeypatch):
     assert r < d_l
     res = hausdorff(small, large)
     assert res.direction == "a_to_b" and res.point_a.tolist() == [0.5, 2.5]
-    assert bounds == [(len(large), r * (1 - 1e-12)), (len(small), d_l * (1 - 1e-12))]
+    assert bounds == [(len(large), r), (len(small), d_l)]
     _assert_both_ways(small, large)
 
 
 def _nearest(query, target):
     """Each query row's nearest distance to target, by brute force."""
     return np.sqrt(((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+
+
+def _clearing_grid(query, target, r):
+    """The grid a `_farthest` pass from query to target clears by for r."""
+    from rauzy import fractal
+
+    return fractal._kernel_grid(target, fractal._box(target), r, len(query))
+
+
+def _cleared(query, target, r):
+    """`_cleared`'s mask on the grid a `_farthest` pass clears by for r."""
+    from rauzy import fractal
+
+    grid = _clearing_grid(query, target, r)
+    return fractal._cleared(query, grid.keys(query), target, grid.keys(target), grid, r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -1213,13 +1269,13 @@ def test_kernel_grid_clears_only_rows_a_target_point_is_nearer_than_r(k, monkeyp
         radii = [nearest[j] * f for j in picks for f in (1 - 1e-9, 1 - 1e-13, 1, 1 + 1e-13, 1 + 2e-12, 1 + 1e-9)]
         radii += [np.nextafter(nearest[j], np.inf) for j in picks]
         for r in radii:
-            mask = fractal._cleared(query, target, r)
+            mask = _cleared(query, target, r)
             if mask is None:
                 continue
             gridded += 1
             assert not np.any(nearest[mask] >= r * (1 - 1e-12))
             monkeypatch.setattr(fractal, "_neighbour_steps", lambda strides: [])
-            own_cell = fractal._cleared(query, target, r)
+            own_cell = _cleared(query, target, r)
             monkeypatch.setattr(fractal, "_neighbour_steps", inner_steps)
             assert np.all(mask[own_cell])
             by_neighbours += int(mask.sum() - own_cell.sum())
@@ -1229,7 +1285,10 @@ def test_kernel_grid_clears_only_rows_a_target_point_is_nearer_than_r(k, monkeyp
 def test_kernel_grid_memory_at_the_cell_cap(traced_peak, monkeypatch):
     # the map holds at most 32 bytes per query and target row; beside it
     # the mask, a byte per query row, and at most 64 k bytes per row of the
-    # chunk in hand
+    # chunk in hand.  The keys, 4 bytes per row, are the pass's own, made
+    # once for both directions of `hausdorff`
+    from scipy.spatial import cKDTree
+
     from rauzy import fractal
 
     monkeypatch.setattr(fractal, "_CHUNK_ROWS", 4096)
@@ -1243,8 +1302,19 @@ def test_kernel_grid_memory_at_the_cell_cap(traced_peak, monkeypatch):
         s = int(round(cap ** (1 / k)))
         s -= s**k > cap
         r = np.sqrt(k) * (1 + 1e-9) / (s - 3)
-        assert fractal._cleared(query, target, r * 0.99) is None
-        mask, peak = traced_peak(lambda: fractal._cleared(query, target, r))
+        # for a smaller r the cap takes a coarser grid, certain for more than
+        # r: a row's own cell is then tested by distance, and each row it
+        # clears is still nearer than r
+        coarser = _clearing_grid(query, target, r * 0.99)
+        assert coarser.clears > r * 0.99 and coarser.cells <= cap
+        mask = fractal._cleared(query, coarser.keys(query), target, coarser.keys(target), coarser, r * 0.99)
+        nearest = cKDTree(target).query(query)[0]
+        assert mask.any() and not np.any(nearest[mask] >= r * 0.99 * (1 - 1e-12))
+        grid = _clearing_grid(query, target, r)
+        assert grid.clears == r and grid.cells <= cap
+        qkeys, tkeys = grid.keys(query), grid.keys(target)
+        assert qkeys.dtype == tkeys.dtype == np.int32
+        mask, peak = traced_peak(lambda: fractal._cleared(query, qkeys, target, tkeys, grid, r))
         assert mask is not None and mask.any()
         assert peak <= 32 * (n_query + n_target) + n_query + 64 * k * fractal._CHUNK_ROWS
 
@@ -1255,13 +1325,14 @@ def test_kernel_grid_leaves_few_rows_of_the_larger_cloud_for_bounded_queries(tet
     from rauzy import fractal
 
     left = []
-    inner = fractal._beyond
+    inner = fractal._cleared
 
-    def spy(query, rows, tree, bound):
-        left.append((len(query), len(rows)))
-        return inner(query, rows, tree, bound)
+    def spy(query, *args):
+        mask = inner(query, *args)
+        left.append((len(query), len(query) if mask is None else int(np.count_nonzero(~mask))))
+        return mask
 
-    monkeypatch.setattr(fractal, "_beyond", spy)
+    monkeypatch.setattr(fractal, "_cleared", spy)
     sd = tetra_set.spectral()
     seq = DirectiveSequence.random(0, len(tetra_set))
     proj = project_prefixes(seq, tetra_set, 20_000)
@@ -1271,3 +1342,84 @@ def test_kernel_grid_leaves_few_rows_of_the_larger_cloud_for_bounded_queries(tet
         left.clear()
         hausdorff(a, b)
         assert [rows for n, rows in left if n == len(b)] and all(rows < 0.05 * n for n, rows in left if n == len(b))
+
+
+# ---------------------------------------------------------------------------
+# `_nearest`: trees over the cells around the rows give the whole cloud's
+# nearest distances
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_nearest_equals_a_whole_cloud_query(k, monkeypatch):
+    import itertools
+
+    from scipy.spatial import cKDTree
+
+    from rauzy import fractal
+
+    rounds = []
+    inner = fractal._block_rows
+
+    def spy(keys, tkeys, grid, reach):
+        rows = inner(keys, tkeys, grid, reach)
+        rounds.append((reach, rows is not None))
+        return rows
+
+    monkeypatch.setattr(fractal, "_block_rows", spy)
+    rng = np.random.default_rng(60 + k)
+    # a lattice patch of side 1/8 with its cell centres: each centre ties
+    # with 2^k lattice rows, in exact arithmetic
+    lattice = np.array(list(itertools.product(range(3), repeat=k))) * 0.125 + 2.0
+    for _ in range(2):
+        # clumps of target rows, many to a cell, a few lone ones and the patch
+        centres = rng.random((int(rng.integers(3, 8)), k)) * 2
+        clumps = centres[rng.integers(0, len(centres), 3000)] + rng.normal(scale=1e-3, size=(3000, k))
+        target = np.vstack([clumps, rng.random((20, k)) * 2, lattice])
+        lo, extent = fractal._box(target)
+        # rows in the box, mostly many cells from a clump; on and just
+        # outside its corners; far outside, clamped onto the ring; and the
+        # lattice's cell centres
+        corners = lo + extent * np.array(list(itertools.product((-0.01, 0.0, 1.0, 1.01), repeat=k)))
+        far = rng.choice([-30.0, 40.0], size=(20, k)) * rng.random((20, k))
+        query = np.vstack([lo + extent * rng.random((200, k)), corners[:60], far, lattice[: 2**k] + 0.0625])
+        want = cKDTree(target).query(query)[0]
+        plain = np.sqrt(((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+        for cells in (4, 16, 64):
+            grid = fractal._grid(lo, extent, extent.max() / cells, 1 << 22, 0.0)
+            if grid is None:
+                continue
+            tkeys = grid.keys(target)
+            # a few rows at a time, so that their blocks hold a small part of target
+            for rows in np.array_split(np.arange(len(query)), len(query) // 8):
+                pts = query[rows]
+                dist, idx = fractal._nearest(pts, grid.keys(pts), target, tkeys, grid, 1)
+                assert dist.tobytes() == want[rows].tobytes()
+                assert np.array_equal(np.sqrt(((pts - target[idx]) ** 2).sum(axis=1)), plain[rows])
+    # blocks over part of target, widened several times (at k = 4 and 5 a
+    # block of reach 8 would span more than _CHUNK_ROWS cells)
+    assert any(local for _, local in rounds) and max(reach for reach, local in rounds if local) >= (8 if k <= 3 else 4)
+
+
+def test_thinning_builds_no_tree_over_the_kept_cloud(tribo_set, kdtree_log, monkeypatch):
+    # every thinned level's loss is measured with trees over parts of the
+    # kept cloud only; the loss is the one `_thinning_loss` measured with a
+    # tree over the whole kept cloud
+    from rauzy import fractal
+
+    served = []
+    inner = fractal._thinning_loss
+
+    def spy(sd, kept, removed):
+        start = len(kdtree_log["builds"])
+        loss = inner(sd, kept, removed)
+        whole = kdtree_log["cKDTree"](to_adapted(sd, kept), balanced_tree=False, compact_nodes=False)
+        want = whole.query(to_adapted(sd, removed))[0].max()
+        served.append((len(kept), [n for _, n, _, _ in kdtree_log["builds"][start:]], loss, want))
+        return loss
+
+    monkeypatch.setattr(fractal, "_thinning_loss", spy)
+    res = gifs_attractor(CONST_1, tribo_set, 21, budget=500_000)
+    assert res.meta["thinned"] and len(served) == 6
+    for kept, builds, loss, want in served:
+        assert builds and 2 * max(builds) <= kept
+        assert loss == want

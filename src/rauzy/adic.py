@@ -296,10 +296,10 @@ def first_letter_map(sub: Substitution) -> dict[int, int]:
     return {j: sub.image(j)[0] for j in range(1, sub.d + 1)}
 
 
-def is_primitive_sequence(seq: DirectiveSequence, sset: SubstitutionSet, start: int = 0, horizon: int = 64) -> int | None:
+def is_primitive_sequence(seq: DirectiveSequence, sset: SubstitutionSet, horizon: int = 64) -> int | None:
     """Smallest k <= horizon such that the incidence matrix of the
-    composition sigma_start ... sigma_(start+k) (k+1 factors) is strictly
-    positive, else None.
+    composition sigma_0 ... sigma_k (k+1 factors) is strictly positive,
+    else None.
 
     When all matrices coincide this is the primitivity exponent of the
     shared matrix minus one.  None is conclusive only in that shared case;
@@ -313,7 +313,7 @@ def is_primitive_sequence(seq: DirectiveSequence, sset: SubstitutionSet, start: 
     prod: IntMatrix | None = None
     for k in range(0, horizon + 1):
         try:
-            m = sset.matrices[seq[start + k]]
+            m = sset.matrices[seq[k]]
         except IndexError:
             return None
         prod = m if prod is None else prod @ m
@@ -326,27 +326,27 @@ def limit_letter_chains(
     seq: DirectiveSequence,
     sset: SubstitutionSet,
     depth: int,
-    horizon: int = _CHAIN_LOOKAHEAD,
 ) -> list[tuple[int, ...]]:
     """Valid first-letter chains (a_0, ..., a_depth), lexicographically sorted.
 
     A chain must satisfy a_k = first letter of sigma_k(a_(k+1)), and its top
-    letter must stay reachable for `horizon` further levels (the set of
-    reachable tops is the image of the composed first-letter maps of the next
-    `horizon` substitutions; chains failing that are dead ends that no deeper
-    chain extends).  For a finite sequence the look-ahead stops at its end.
+    letter must stay reachable for _CHAIN_LOOKAHEAD further levels (the set
+    of reachable tops is the image of the composed first-letter maps of the
+    next _CHAIN_LOOKAHEAD substitutions; chains failing that are dead ends
+    that no deeper chain extends).  For a finite sequence the look-ahead
+    stops at its end.
     """
     try:
         maps = [first_letter_map(sset[seq[k]]) for k in range(depth)]
     except IndexError:
         raise DomainError("directive sequence too short for requested depth") from None
-    if not seq.is_finite and is_primitive_sequence(seq, sset, 0) is None:
+    if not seq.is_finite and is_primitive_sequence(seq, sset) is None:
         warnings.warn(
             "directive sequence not confirmed primitive; limit points may be degenerate",
             stacklevel=2,
         )
     tail_maps = []
-    for k in range(depth, depth + horizon):
+    for k in range(depth, depth + _CHAIN_LOOKAHEAD):
         try:
             tail_maps.append(first_letter_map(sset[seq[k]]))
         except IndexError:

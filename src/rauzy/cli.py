@@ -41,7 +41,7 @@ from .fractal import (
     point_budget,
     project_prefixes,
 )
-from .spectral import char_poly, gamma_generators, is_irreducible_charpoly
+from .spectral import char_poly, charpoly_irreducible, gamma_generators
 
 
 def _load_set(path: str) -> SubstitutionSet:
@@ -181,15 +181,8 @@ def cmd_info(args) -> int:
     poly = sd.char if sd is not None else char_poly(m)
     print(f"char-poly: {poly}")
     print(f"det: {m.det()}")
-    # unimodular Pisot implies irreducible at any degree (see gamma_generators);
-    # a matrix that is not primitive is never unimodular Pisot
-    if sd is not None and sd.pisot and sd.det in (1, -1):
-        print("irreducible: yes")
-    else:
-        try:
-            print(f"irreducible: {'yes' if is_irreducible_charpoly(poly) else 'no'}")
-        except DomainError:
-            print("irreducible: unchecked (degree > 4)")
+    irreducible = charpoly_irreducible(poly, sd)
+    print("irreducible: " + {True: "yes", False: "no", None: "unchecked (degree > 4)"}[irreducible])
     if sd is None:
         print("primitive: no")
         return 0

@@ -47,15 +47,22 @@ class ResourceError(RauzyError):
 _DEFAULT_SYMBOLS = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 
+# letters are byte values 1..255
+MAX_SYMBOLS = 255
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered alphabet of d distinct display symbols for letters 1..d."""
+    """Ordered alphabet of d distinct display symbols for letters 1..d,
+    2 <= d <= MAX_SYMBOLS."""
 
     symbols: str
 
     def __post_init__(self):
         if len(self.symbols) < 2:
             raise ValueError("alphabet needs at least 2 symbols")
+        if len(self.symbols) > MAX_SYMBOLS:
+            raise ValueError(f"alphabet has {len(self.symbols)} symbols, over the {MAX_SYMBOLS} a byte holds")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
 
@@ -286,18 +293,21 @@ def wielandt_bound(d: int) -> int:
     return d * d - 2 * d + 2
 
 
-def primitivity_exponent(m: IntMatrix, max_exp: int | None = None) -> int | None:
+def primitivity_exponent(m: IntMatrix) -> int | None:
     """Smallest k with m^k strictly positive, or None if none exists
-    up to the Wielandt bound (which is conclusive for nonnegative m)."""
+    up to the Wielandt bound (which is conclusive for nonnegative m).
+
+    Which entries of m^k are positive depends only on which entries of m
+    are, so the powers are taken of m's 0/1 pattern, cut back to 0/1 after
+    each product; its entries stay at most d, exact in float."""
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
-    limit = wielandt_bound(m.n) if max_exp is None else max_exp
-    power = m
-    for k in range(1, limit + 1):
-        if power.is_positive():
+    pattern = np.array([[x > 0 for x in row] for row in m.rows], dtype=float)
+    power = pattern
+    for k in range(1, wielandt_bound(m.n) + 1):
+        if power.all():
             return k
-        if k < limit:
-            power = power @ m
+        power = np.minimum(power @ pattern, 1.0)
     return None
 
 

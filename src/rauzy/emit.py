@@ -504,9 +504,7 @@ def render_ppm(
     approx: RauzyApprox,
     width: int,
     height: int,
-    colors: list[tuple[int, int, int]] | None = None,
     margin: float = 0.05,
-    background: tuple[int, int, int] = (255, 255, 255),
     path: str | None = None,
 ) -> bytes | None:
     """Rasterize the cloud to a binary PPM.
@@ -515,7 +513,8 @@ def render_ppm(
     per axis (each axis scaled independently); a degenerate axis collapses to
     the image center.  Only the first two stable coordinates are drawn; a
     one-dimensional cloud sits on the horizontal midline.  Letters paint in
-    ascending order, so later letters win overlapping pixels.
+    ascending order, so later letters win overlapping pixels, in
+    `default_colors` on a white background.
 
     Returns the PPM bytes, or with `path` writes them to that file and
     returns None.  The file gets the header and then the raster's own
@@ -538,10 +537,8 @@ def render_ppm(
     lo = lo - pad
     span = span + 2 * pad
     raster = np.empty((height, width, 3), dtype=np.uint8)
-    raster[:, :] = np.asarray(background, dtype=np.uint8)
-    palette = colors if colors is not None else default_colors(approx.d)
-    if len(palette) < approx.d:
-        raise ValueError(f"need {approx.d} colors, got {len(palette)}")
+    raster.fill(255)
+    palette = default_colors(approx.d)
     for letter in sorted(approx.points):
         pts = approx.points[letter]
         if not len(pts):

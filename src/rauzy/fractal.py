@@ -241,6 +241,43 @@ def project_prefixes(
 # telescoping decomposition of limit-point prefixes
 
 
+def _split(sub: Substitution, letters: np.ndarray):
+    """The image splitting of a word, (idx, rest, pivots): position t of
+    sigma(letters) is offset rest[t] of the image of letters[idx[t]] and
+    holds the letter pivots[t], so pivots is sigma(letters) itself."""
+    images = sub.table[letters]
+    idx, rest = np.nonzero(images)
+    return idx, rest, images[idx, rest]
+
+
+def _peel(seq: DirectiveSequence, sset: SubstitutionSet, words: list[bytes], length: int):
+    """Forward pass of the telescoping peel of every prefix of
+    words[0][:length + 1].  Position t = 0..N_j of the level-j word
+    (N_0 = length) is offset rest_j[t] of the image of letter idx_j[t] of
+    the level-(j+1) word: its prefix of length t is sigma_j of the
+    level-(j+1) prefix of length idx_j[t], then the first rest_j[t] letters
+    of that image, and N_(j+1) = idx_j[N_j].  Yields (sub, level-(j+1) word,
+    idx_j, rest_j) per level until N_j reaches 0, once every split's pivot
+    is found to be the letter the level-j word holds there."""
+    top = length
+    for j in range(len(words) - 1):
+        if top == 0:
+            return
+        sub = sset[seq[j]]
+        level_word = np.frombuffer(words[j + 1], dtype=np.uint8)
+        # the fewest letters whose images cover positions 0..N_j (each
+        # image has a letter, so the first N_j + 1 letters are enough)
+        cum = np.cumsum(np.count_nonzero(sub.table, axis=1)[level_word[: top + 1]])
+        used = int(np.searchsorted(cum, top, side="right")) + 1
+        idx, rest, pivots = (a[: top + 1] for a in _split(sub, level_word[:used]))
+        if not np.array_equal(pivots, np.frombuffer(words[j], dtype=np.uint8)[: top + 1]):
+            raise AssertionError("split pivots disagree with the level word")
+        yield sub, level_word, idx, rest
+        top = int(idx[-1])
+    if top:
+        raise AssertionError("prefix peel did not terminate within the deepened levels")
+
+
 def telescoping_decomposition(
     seq: DirectiveSequence,
     sset: SubstitutionSet,
@@ -253,49 +290,24 @@ def telescoping_decomposition(
     prefix of an image of sigma_j and
     word = sigma_0(sigma_1(... sigma_(k-1)(P_k) ... + P_1)) + P_0.
     With a shared incidence matrix M the count identity
-    l(word) = sum_j M^j l(P_j) then holds exactly.  Raises DomainError when
-    word is not a prefix of the selected limit point.
+    l(word) = sum_j M^j l(P_j) then holds exactly.  The parts are read off
+    `_peel` along t = N_j, the last position of each level.  Raises
+    DomainError when word is not a prefix of the selected limit point.
     """
     if not word:
         return []
     _, words = limit_tower(seq, sset, len(word) + 1, chain_index)
     if words[0][: len(word)] != word:
         raise DomainError("word is not a prefix of the selected limit point")
-    depth = len(words) - 1
-    parts: list[bytes] = []
-    remaining = word
-    for j in range(depth):
-        if not remaining:
-            break
-        sub = sset[seq[j]]
-        level_word = words[j + 1]
-        consumed = 0
-        used = 0
-        for c in level_word:
-            step = len(sub.image(c))
-            if consumed + step > len(remaining):
-                break
-            consumed += step
-            used += 1
-        part = remaining[consumed:]
-        if part:
-            image = sub.image(level_word[used])
-            if image[: len(part)] != part or len(part) >= len(image):
-                raise AssertionError("peeled part is not a proper image prefix")
-        parts.append(part)
-        remaining = level_word[:used]
-    if remaining:
-        raise AssertionError("telescoping peel did not terminate")
-    while parts and not parts[-1]:
-        parts.pop()
+    levels = _peel(seq, sset, words, len(word))
+    parts = [sub.image(int(w[idx[-1]]))[: int(rest[-1])] for sub, w, idx, rest in levels]
     # exact reconstruction check before reversing to deepest-first order
     rebuilt = b""
     for j in range(len(parts) - 1, -1, -1):
         rebuilt = sset[seq[j]].apply(rebuilt) + parts[j]
     if rebuilt != word:
         raise AssertionError("telescoping reconstruction mismatch")
-    parts.reverse()
-    return parts
+    return parts[::-1]
 
 
 def telescoped_counts(sset: SubstitutionSet, parts: list[bytes]) -> tuple[int, ...]:
@@ -341,11 +353,10 @@ def verify_all_prefix_identities(
     first r letters of that image and
     R_j[t] = l(P_j(t)) + M R_(j+1)[idx_j(t)]  for t = 0..N_j,
     with N_0 = length and N_(j+1) = idx_j(N_j); then R_0[t] is the whole
-    sum for prefix t.  A forward pass records idx_j and l(P_j) for every
-    position, checking that the letter after P_j in its image (the pivot)
-    is the letter the level word holds there; a backward pass folds the
-    levels in.  The positions shrink by the growth factor per level, so
-    the work is about 2 * length gathers where carrying every target
+    sum for prefix t.  The forward pass, `_peel`, gives idx_j and r for
+    every position, from which l(P_j) is gathered; a backward pass folds
+    the levels in.  The positions shrink by the growth factor per level,
+    so the work is about 2 * length gathers where carrying every target
     through every level took levels * length.  Every partial sum has
     nonnegative terms and is at most the full sum, so one bound computed
     in exact arithmetic guards the int64 accumulators.
@@ -370,33 +381,13 @@ def verify_all_prefix_identities(
         raise ResourceError("prefix identity check would overflow 64-bit accumulators")
 
     levels = []  # per level: (idx_j, count vectors l(P_j(t))), t = 0..N_j
-    top = length  # N_j
-    for j in range(depth):
-        if top == 0:
-            break
-        sub = sset[seq[j]]
-        width = sub.prefix_counts.shape[1]  # L + 1 prefixes per image
-        level_word = np.frombuffer(words[j + 1], dtype=np.uint8)
-        image_lens = np.count_nonzero(sub.table, axis=1)
-        # letters of the level-(j+1) word whose images cover positions 0..N_j
-        # (each image has a letter, so the first N_j + 1 letters are enough)
-        cum = np.cumsum(image_lens[level_word[: top + 1]])
-        used = int(np.searchsorted(cum, top, side="right")) + 1
-        images = sub.table[level_word[:used]]
-        idx, rest = np.nonzero(images)
-        idx, rest = idx[: top + 1], rest[: top + 1]
-        # the letter at position t of the level-j word is the pivot of its split
-        if not np.array_equal(images[idx, rest], np.frombuffer(words[j], dtype=np.uint8)[: top + 1]):
-            raise AssertionError("split pivots disagree with the level word")
+    for sub, level_word, idx, rest in _peel(seq, sset, words, length):
         # gathered by flat row, which numpy does faster than a 2-D index;
         # the row numbers are built in one array
         flat = level_word[idx].astype(np.intp)
-        flat *= width
+        flat *= sub.prefix_counts.shape[1]
         flat += rest
         levels.append((idx, np.take(sub.prefix_counts.reshape(-1, d), flat, axis=0)))
-        top = int(idx[-1])
-    if top:
-        raise AssertionError("prefix peel did not terminate within the deepened levels")
     mt = np.asarray(m.rows, dtype=np.int64).T
     rhs = np.zeros((1, d), dtype=np.int64)  # R_J[0] = 0 once N_J = 0
     for idx, part_counts in reversed(levels):
@@ -501,12 +492,11 @@ def gifs_attractor(
     sset: SubstitutionSet,
     depth: int,
     budget: int | None = None,
-    seed_points: dict[int, np.ndarray] | None = None,
 ) -> RauzyApprox:
     """Iterate the set equations of sigma_0 .. sigma_(depth-1), innermost
-    first, starting from one point per subtile (the origin by default).
+    first, starting from the origin in each subtile.
 
-    The result is within lam^depth * (C/(1-lam) + seed norm) of the true
+    The result is within lam^depth * C/(1-lam) of the true
     subtiles in adapted Hausdorff distance; when the point budget forces
     thinning, the extra one-sided loss is measured and added to the bound in
     meta["error_bound"].
@@ -527,16 +517,7 @@ def gifs_attractor(
         raise ValueError("depth must be nonnegative")
     cap = budget if budget is not None else point_budget()
     d = sd.d
-    if seed_points is None:
-        points = {i: np.zeros((1, d - 1)) for i in range(1, d + 1)}
-    else:
-        points = {}
-        for i in range(1, d + 1):
-            arr = np.asarray(seed_points.get(i, ()), dtype=float).reshape(-1, d - 1)
-            if len(arr) == 0:
-                raise DomainError(f"seed for subtile {i} must be nonempty")
-            points[i] = arr
-    seed_norm = _max_adapted_norm(sd, points)
+    points = {i: np.zeros((1, d - 1)) for i in range(1, d + 1)}
     approx = RauzyApprox(points=points, d=d, source="gifs", meta={"depth": 0})
     c = prefix_bound_constant(sset, sd)
     thinning_loss = 0.0
@@ -557,7 +538,7 @@ def gifs_attractor(
                     # later levels shrink it
                     thinning_loss += _thinning_loss(sd, kept, removed) * sd.lam**level
                 approx.points[i] = kept
-    base_bound = sd.lam**depth * (c / (1.0 - sd.lam) + seed_norm)
+    base_bound = sd.lam**depth * (c / (1.0 - sd.lam))
     approx.meta.update(
         {
             "depth": depth,
@@ -567,7 +548,7 @@ def gifs_attractor(
             "error_bound": base_bound + thinning_loss,
             "thinned": thinned,
             "thinning_loss": thinning_loss,
-            "norm_bound": c / (1.0 - sd.lam) + sd.lam**depth * seed_norm,
+            "norm_bound": c / (1.0 - sd.lam),
             "max_adapted_norm": _max_adapted_norm(sd, approx.points),
         }
     )
@@ -1070,14 +1051,13 @@ def set_equation_check(
     d = sd.d
     sub0 = sset[seq[0]]
     u1 = limit_point_prefix(seq.shift(1), sset, n_points, chain_index=chain_index)
+    letters = np.frombuffer(u1, dtype=np.uint8)
+    s, j, pivots = _split(sub0, letters)  # target position t is (s[t], j[t])
     source = project_word(sd, u1)
-    target = project_word(sd, sub0.apply(u1))
+    target = project_word(sd, pivots.tobytes())
     stepped = gifs_step(sub0, sd, source)
     if shift:
         stepped.points[1] = stepped.points[1] + shift
-    letters = np.frombuffer(u1, dtype=np.uint8)
-    images = sub0.table[letters]
-    s, j = np.nonzero(images)  # target position t, in order, is (s[t], j[t])
     rank = np.empty(len(letters), dtype=np.intp)
     for a in range(1, d + 1):
         at = letters == a
@@ -1087,7 +1067,6 @@ def set_equation_check(
     edge_start = np.zeros(sub0.table.shape, dtype=np.intp)
     edge_start[np.nonzero(sub0.table)] = starts  # edges come in table order
     rows = edge_start[letters[s], j] + rank[s]
-    pivots = images[s, j]
     per = {}
     for p in range(1, d + 1):
         if not len(target.points[p]):

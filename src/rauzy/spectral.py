@@ -344,6 +344,25 @@ def require_unimodular_pisot(sd: SpectralData) -> None:
         raise DomainError("matrix is not Pisot: some secondary eigenvalue has modulus >= 1")
 
 
+def charpoly_irreducible(poly: CharPoly, sd: SpectralData | None) -> bool | None:
+    """Whether the characteristic polynomial poly is irreducible over Q:
+    True or False, or None when unchecked (degree above 4 and no spectral
+    data saying unimodular Pisot).
+
+    A unimodular Pisot matrix needs no factor search.  A monic integer
+    factor of its characteristic polynomial without the Perron root has all
+    its roots inside the circle, so its constant term, their product up to
+    sign, is an integer of modulus below 1, that is 0; yet it divides
+    det = +-1.  No such factor exists, at any degree.  Any other polynomial
+    goes to `is_irreducible_charpoly` up to degree 4.
+    """
+    if sd is not None and sd.pisot and sd.det in (1, -1):
+        return True
+    if poly.degree > 4:
+        return None
+    return is_irreducible_charpoly(poly)
+
+
 def is_irreducible_charpoly(poly: CharPoly) -> bool:
     """Irreducibility over Q for monic integer polynomials of degree <= 4.
 
@@ -450,22 +469,15 @@ class GammaLattice:
 
 def gamma_generators(sd: SpectralData) -> GammaLattice:
     """Generators of the projected zero-sum lattice.  Warns when the rank
-    guarantee (irreducible characteristic polynomial) is not confirmed.
-
-    A unimodular Pisot matrix needs no factor search.  A monic
-    integer factor of its characteristic polynomial without the Perron root
-    has all its roots inside the circle, so its constant term, their
-    product up to sign, is an integer of modulus below 1, that is 0; yet it
-    divides det = +-1.  No such factor exists, at any degree.
-    """
-    try:
-        if not (sd.pisot and sd.det in (1, -1)) and not is_irreducible_charpoly(sd.char):
-            warnings.warn(
-                "characteristic polynomial is reducible; projected lattice may not have full rank",
-                stacklevel=2,
-            )
-    except DomainError:
+    guarantee (irreducible characteristic polynomial) is not confirmed."""
+    irreducible = charpoly_irreducible(sd.char, sd)
+    if irreducible is None:
         warnings.warn("irreducibility unchecked for degree > 4", stacklevel=2)
+    elif not irreducible:
+        warnings.warn(
+            "characteristic polynomial is reducible; projected lattice may not have full rank",
+            stacklevel=2,
+        )
     d = sd.d
     diffs = np.zeros((d - 1, d))
     for i in range(d - 1):

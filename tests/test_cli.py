@@ -5,10 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rauzy.adic import SubstitutionSet, parse_sequence_spec
@@ -817,3 +818,66 @@ def test_malformed_flag_values_exit_2_with_nothing_on_stdout(data_dir, capsys, m
     assert code in (2, 4)
     if code == 2:
         assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated substitution files
+
+
+def _subs_file(symbols: str, blocks: list[list[str]]) -> str:
+    """A substitution file over symbols: block k maps symbols[i] to blocks[k][i]."""
+    text = f"alphabet: {symbols}\n"
+    for k, images in enumerate(blocks):
+        text += f"\n[sub s{k}]\n" + "".join(f"{c} -> {w}\n" for c, w in zip(symbols, images))
+    return text
+
+
+def _cyclic(symbols: str, *shifts: int) -> str:
+    """One block per shift, each mapping symbols[i] to symbols[i + shift]:
+    a permutation matrix, never primitive."""
+    n = len(symbols)
+    return _subs_file(symbols, [[symbols[(i + s) % n] for i in range(n)] for s in shifts])
+
+
+_DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+
+
+def _wide(n: int) -> str:
+    """n symbols past ASCII, two blocks with different matrices, so `info`
+    prints them without the spectral work."""
+    return _cyclic("".join(chr(0x100 + i) for i in range(n)), 1, 2)
+
+
+@st.composite
+def _small_subs_files(draw) -> str:
+    d = draw(st.integers(2, 8))
+    symbols = _DEFAULT_SYMBOLS[:d]
+    image = st.text(alphabet=symbols, min_size=1, max_size=4)
+    count = draw(st.integers(1, 3))
+    return _subs_file(symbols, [[draw(image) for _ in symbols] for _ in range(count)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_small_subs_files())
+@example(text=_cyclic(_DEFAULT_SYMBOLS, 1))
+@example(text=_cyclic(_DEFAULT_SYMBOLS, 5, 5))
+@example(text=_wide(255))
+@example(text=_wide(256))
+@example(text=_wide(300))
+def test_info_on_generated_files_keeps_the_exit_contract(tmp_path, capsys, text):
+    # random non-erasing images at d = 2..8, the cyclic 62-letter files
+    # whose primitivity test ran to the Wielandt bound in exact integers,
+    # and alphabets at and past the 255 letters a byte holds
+    path = tmp_path / "generated.subs"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out = _run_main(["info", "--subs", str(path)], capsys)
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 1, 2, 3, 4)
+    if code == 2:
+        assert out == ""
+    size = len(text.splitlines()[0]) - len("alphabet: ")
+    if size == 62:
+        assert code == 0 and "primitive: no" in out
+    if size >= 255:
+        assert code == (0 if size == 255 else 2)

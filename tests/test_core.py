@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rauzy.core import (
     Alphabet,
@@ -33,6 +35,19 @@ def tribo():
 def test_alphabet_default_symbols():
     assert Alphabet.default(3).symbols == "abc"
     assert Alphabet.default(12).symbols == "abcdefghijkl"
+
+
+def test_alphabet_holds_at_most_255_symbols():
+    # letters are byte values: a 256th letter would wrap onto the padding 0
+    wide = "".join(chr(0x100 + i) for i in range(256))
+    al = Alphabet(wide[:255])
+    cyclic = Substitution(al, tuple(bytes([j % 255 + 1]) for j in range(1, 256)))
+    assert all(sum(row) == 1 for row in cyclic.incidence_matrix().rows)
+    with pytest.raises(ValueError, match="256 symbols"):
+        Alphabet(wide)
+    text = f"# wide\nalphabet: {wide}\n[sub s]\n"
+    with pytest.raises(ParseError, match="line 2: alphabet has 256 symbols"):
+        parse_substitution_set(text)
 
 
 def test_alphabet_letter_char_roundtrip():
@@ -188,6 +203,28 @@ def test_primitivity_exponent_oracles():
     assert primitivity_exponent(IntMatrix([[1, 1], [1, 1]])) == 1
     # period-two permutation action never becomes positive
     assert primitivity_exponent(IntMatrix([[0, 1], [1, 0]])) is None
+
+
+def _exponent_by_exact_powers(m: IntMatrix) -> int | None:
+    """The smallest k up to the Wielandt bound with m^k positive, from
+    exact integer powers."""
+    power = m
+    for k in range(1, wielandt_bound(m.n) + 1):
+        if power.is_positive():
+            return k
+        power = power @ m
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_primitivity_exponent_matches_exact_powers(data):
+    # sparse nonnegative matrices, so that exponents from 1 to the
+    # Wielandt bound and non-primitive patterns all occur
+    d = data.draw(st.integers(1, 6), label="d")
+    entry = st.sampled_from([0, 0, 0, 1, 2, 7])
+    m = IntMatrix(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
+    assert primitivity_exponent(m) == _exponent_by_exact_powers(m)
 
 
 def test_wielandt_bound_is_the_default_horizon():

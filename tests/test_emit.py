@@ -542,8 +542,6 @@ def test_render_validation(tribo_set):
     approx = project_prefixes(CONST_1, tribo_set, 100)
     with pytest.raises(ValueError):
         render_ppm(approx, 0, 32)
-    with pytest.raises(ValueError):
-        render_ppm(approx, 32, 32, colors=[(0, 0, 0)])
     empty = RauzyApprox(
         points={i: np.zeros((0, 2)) for i in (1, 2, 3)}, d=3, source="gifs"
     )

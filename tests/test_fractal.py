@@ -418,11 +418,13 @@ def test_gifs_attractor_thinning(tribo_set):
 
 
 def test_gifs_attractor_seed_independence(tribo_set, tribo_sd):
-    # two seed clouds converge at rate lam per level
+    # two seed clouds converge at rate lam per level: the set equations
+    # iterated from an offset seed end within lam^depth of the origin's
     depth = 8
     a = gifs_attractor(CONST_1, tribo_set, depth)
-    off = {i: np.array([[0.11, -0.07]]) for i in (1, 2, 3)}
-    b = gifs_attractor(CONST_1, tribo_set, depth, seed_points=off)
+    b = RauzyApprox(points={i: np.array([[0.11, -0.07]]) for i in (1, 2, 3)}, d=3, source="gifs")
+    for level in range(depth - 1, -1, -1):
+        b = gifs_step(tribo_set[CONST_1[level]], tribo_sd, b)
     seed_gap = adapted_norm(tribo_sd, np.array([0.11, -0.07]))
     worst = max(r.distance for r in subtile_hausdorff(tribo_sd, a, b).values())
     assert worst <= tribo_sd.lam ** depth * seed_gap + 1e-9
@@ -434,8 +436,6 @@ def test_gifs_attractor_validation(tribo_set, quartic_set):
     seq = DirectiveSequence.periodic((), (0,))
     with pytest.raises(DomainError):
         gifs_attractor(seq, quartic_set, 3)
-    with pytest.raises(DomainError):
-        gifs_attractor(CONST_1, tribo_set, 2, seed_points={1: np.zeros((0, 2))})
 
 
 # ---------------------------------------------------------------------------

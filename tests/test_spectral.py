@@ -17,6 +17,7 @@ from rauzy.spectral import (
     adapted_norm,
     adapted_norms,
     char_poly,
+    charpoly_irreducible,
     gamma_generators,
     is_irreducible_charpoly,
     perron_data,
@@ -382,3 +383,15 @@ def test_gamma_generators_still_warns_for_reducible_non_unimodular():
         require_unimodular_pisot(perron_data(m))
     with pytest.warns(UserWarning, match="reducible"):
         gamma_generators(perron_data(m))
+
+
+def test_charpoly_irreducible_gives_one_of_three_verdicts():
+    # unimodular Pisot is irreducible at any degree; otherwise the factor
+    # search decides up to degree 4 and leaves higher degrees unchecked
+    penta = perron_data(_k_bonacci(5))
+    assert charpoly_irreducible(penta.char, penta) is True
+    assert charpoly_irreducible(penta.char, None) is None
+    assert charpoly_irreducible(char_poly(TRIBO_M), None) is True
+    two_three = perron_data(IntMatrix([[2, 1], [1, 2]]))
+    assert charpoly_irreducible(two_three.char, two_three) is False
+    assert charpoly_irreducible(CharPoly((-1, 0, 0, 0, 0, 0, 1)), None) is None

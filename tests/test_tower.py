@@ -86,6 +86,30 @@ def test_tower_levels_on_generated_families(which, tribo_set, tetra_set, data):
     assert words[0][:min_len] == limit_point_prefix(seq, sset, min_len, chain_index)
 
 
+def _reference_peel(seq, sset, word: bytes, chain_index: int) -> list[bytes]:
+    """The telescoping peel letter by letter, independent of the library's
+    vectorized split: at each level, keep the longest run of whole images
+    of the next level word that fits in what is left; the rest of the
+    level's prefix is its part.  Parts come deepest level first."""
+    _, words = limit_tower(seq, sset, len(word) + 1, chain_index)
+    parts = []
+    remaining = word
+    for j in range(len(words) - 1):
+        if not remaining:
+            break
+        sub = sset[seq[j]]
+        consumed = used = 0
+        for c in words[j + 1]:
+            if consumed + len(sub.image(c)) > len(remaining):
+                break
+            consumed += len(sub.image(c))
+            used += 1
+        parts.append(remaining[consumed:])
+        remaining = words[j + 1][:used]
+    assert not remaining
+    return parts[::-1]
+
+
 @pytest.mark.parametrize("which", ["tribo", "tetra"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -100,6 +124,7 @@ def test_identity_sweep_agrees_with_peel_on_generated_families(which, tribo_set,
     ts = data.draw(st.lists(st.integers(1, length), min_size=1, max_size=3), label="t")
     for t in [*ts, length]:
         parts = telescoping_decomposition(seq, sset, word[:t], chain_index)
+        assert parts == _reference_peel(seq, sset, word[:t], chain_index)
         assert telescoped_counts(sset, parts) == abelianize(word[:t], sset.d)
     if length >= 5000:
         assert len(parts) >= 10

@@ -27,7 +27,7 @@ from .core import (
     ParseError,
     ResourceError,
     Substitution,
-    primitivity_exponent,
+    positive_prefix,
 )
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,14 @@ class DirectiveSequence:
         return replace(self, offset=self.offset + k)
 
     def prefix(self, n: int) -> list[int]:
-        return [self[i] for i in range(n)]
+        """The first n entries, or all of a shorter finite sequence."""
+        out = []
+        for i in range(n):
+            try:
+                out.append(self[i])
+            except IndexError:
+                break
+        return out
 
     @property
     def is_finite(self) -> bool:
@@ -289,6 +296,7 @@ _PREFIX_BYTE_CAP = 1 << 27  # letters in any word of the tower
 _STALL_LEVELS = 48  # levels the tower's word may go without growing
 _SELECT_LEVELS = 64  # how far below its depth the tower picks the chain
 _CHAIN_LOOKAHEAD = 32  # levels limit_letter_chains looks ahead to prune dead ends
+_PRIMITIVE_HORIZON = 64  # the largest k is_primitive_sequence reports
 
 
 def first_letter_map(sub: Substitution) -> dict[int, int]:
@@ -296,30 +304,21 @@ def first_letter_map(sub: Substitution) -> dict[int, int]:
     return {j: sub.image(j)[0] for j in range(1, sub.d + 1)}
 
 
-def is_primitive_sequence(seq: DirectiveSequence, sset: SubstitutionSet, horizon: int = 64) -> int | None:
-    """Smallest k <= horizon such that the incidence matrix of the
-    composition sigma_0 ... sigma_k (k+1 factors) is strictly positive,
-    else None.
+def is_primitive_sequence(seq: DirectiveSequence, sset: SubstitutionSet) -> int | None:
+    """Smallest k <= _PRIMITIVE_HORIZON such that the incidence matrix of
+    the composition sigma_0 ... sigma_k (k+1 factors) is strictly positive,
+    else None, also when a finite sequence ends first.
 
-    When all matrices coincide this is the primitivity exponent of the
-    shared matrix minus one.  None is conclusive only in that shared case;
-    otherwise it means "not within the horizon".
+    With a shared matrix the sequence is not read: this is the primitivity
+    exponent of the shared matrix minus one, if within the horizon.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     if sset.shared_matrix is not None:
-        e = primitivity_exponent(sset.shared_matrix)
-        return e - 1 if e is not None and e - 1 <= horizon else None
-    prod: IntMatrix | None = None
-    for k in range(0, horizon + 1):
-        try:
-            m = sset.matrices[seq[k]]
-        except IndexError:
-            return None
-        prod = m if prod is None else prod @ m
-        if prod.is_positive():
-            return k
-    return None
+        patterns = [sset.shared_matrix.pattern()] * (_PRIMITIVE_HORIZON + 1)
+    else:
+        per_sub = [m.pattern() for m in sset.matrices]
+        patterns = [per_sub[i] for i in seq.prefix(_PRIMITIVE_HORIZON + 1)]
+    k = positive_prefix(patterns)
+    return None if k is None else k - 1
 
 
 def limit_letter_chains(
@@ -345,12 +344,7 @@ def limit_letter_chains(
             "directive sequence not confirmed primitive; limit points may be degenerate",
             stacklevel=2,
         )
-    tail_maps = []
-    for k in range(depth, depth + _CHAIN_LOOKAHEAD):
-        try:
-            tail_maps.append(first_letter_map(sset[seq[k]]))
-        except IndexError:
-            break
+    tail_maps = [first_letter_map(sset[i]) for i in seq.shift(depth).prefix(_CHAIN_LOOKAHEAD)]
     tops = set(range(1, sset.d + 1))
     for f in reversed(tail_maps):
         tops = {f[x] for x in tops}
@@ -369,13 +363,7 @@ def _select_chain(seq: DirectiveSequence, sset: SubstitutionSet, depth: int, cha
     """The chain_index-th chain at depth + _SELECT_LEVELS (or where a finite
     sequence ends), so towers of every depth up to there read one limit
     point: a chain the look-ahead keeps at one depth may die at a deeper one."""
-    top = depth + _SELECT_LEVELS
-    while top > depth:
-        try:
-            seq[top - 1]
-            break
-        except IndexError:
-            top -= 1
+    top = depth + len(seq.shift(depth).prefix(_SELECT_LEVELS))
     chains = limit_letter_chains(seq, sset, top)
     return chains[chain_index % len(chains)]
 

@@ -27,7 +27,6 @@ from .core import (
     ParseError,
     ResourceError,
     load_substitution_file,
-    primitivity_exponent,
 )
 from .emit import MAX_PIXELS, read_points_csv, render_ppm, write_points_csv
 from .fractal import (
@@ -164,6 +163,12 @@ def _fmt_matrix(m) -> str:
 
 def cmd_info(args) -> int:
     sset = _load_set(args.subs)
+    sd = None
+    if sset.shared_matrix is not None:
+        try:  # before anything is printed: over the letter cap it is exit 4
+            sd = sset.spectral()
+        except DomainError:  # not primitive
+            pass
     al = sset.alphabet
     print(f"alphabet: {al.symbols}")
     for sub in sset.subs:
@@ -176,8 +181,6 @@ def cmd_info(args) -> int:
     m = sset.shared_matrix
     print("same-matrix: yes")
     print(f"matrix: {_fmt_matrix(m)}")
-    exp = primitivity_exponent(m)
-    sd = sset.spectral() if exp is not None else None
     poly = sd.char if sd is not None else char_poly(m)
     print(f"char-poly: {poly}")
     print(f"det: {m.det()}")
@@ -186,7 +189,7 @@ def cmd_info(args) -> int:
     if sd is None:
         print("primitive: no")
         return 0
-    print(f"primitive: yes (exponent {exp})")
+    print(f"primitive: yes (exponent {sd.primitivity_exp})")
     print(f"beta: {sd.beta:.16g}")
     print("stable-moduli: " + ", ".join(f"{x:.16g}" for x in sd.stable_moduli))
     print(f"lambda: {sd.lam:.16g}" if sd.lam is not None else "lambda: n/a")

@@ -97,19 +97,19 @@ class Alphabet:
         return "".join(self.char(b) for b in word)
 
 
-def validate_word(word: bytes, d: int) -> None:
-    """Raise ValueError unless every byte of word is a letter in 1..d."""
-    if word and not all(1 <= b <= d for b in word):
-        bad = next(b for b in word if not 1 <= b <= d)
+def as_letters(word: bytes, d: int) -> np.ndarray:
+    """The word's bytes as a read-only uint8 array; ValueError naming the
+    first byte that is not a letter in 1..d."""
+    arr = np.frombuffer(word, dtype=np.uint8)
+    if arr.size and not 1 <= arr.min() <= arr.max() <= d:
+        bad = arr[(arr < 1) | (arr > d)][0]
         raise ValueError(f"byte {bad} is not a letter in 1..{d}")
+    return arr
 
 
 def abelianize(word: bytes, d: int) -> tuple[int, ...]:
     """Letter-count vector of a word, as a length-d tuple of ints."""
-    counts = tuple(word.count(i) for i in range(1, d + 1))
-    if sum(counts) != len(word):
-        validate_word(word, d)  # locate the offending byte for the message
-    return counts
+    return tuple(np.bincount(as_letters(word, d), minlength=d + 1)[1:].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +146,6 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.rows))})"
 
@@ -172,8 +169,9 @@ class IntMatrix:
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self.rows for x in r)
 
-    def is_positive(self) -> bool:
-        return all(x > 0 for r in self.rows for x in r)
+    def pattern(self) -> np.ndarray:
+        """Boolean array of the positive entries."""
+        return np.array([[x > 0 for x in row] for row in self.rows], dtype=bool)
 
     def max_entry(self) -> int:
         return max(x for r in self.rows for x in r)
@@ -239,7 +237,7 @@ class Substitution:
         for j, w in enumerate(self.images, start=1):
             if len(w) == 0:
                 raise ValueError(f"erasing substitution: letter {self.alphabet.char(j)} has empty image")
-            validate_word(w, d)
+            as_letters(w, d)
         longest = max(map(len, self.images))
         entries = (d + 1) * (longest + 1) * d
         if entries > MAX_PREFIX_ENTRIES:
@@ -269,9 +267,7 @@ class Substitution:
         return self.images[letter - 1]
 
     def apply(self, word: bytes) -> bytes:
-        idx = np.frombuffer(word, dtype=np.uint8)
-        if idx.size and not 1 <= idx.min() <= idx.max() <= self.d:
-            validate_word(word, self.d)  # locate the offending byte for the message
+        idx = as_letters(word, self.d)
         # gathering whole rows as fixed-width records beats a 2-D fancy index
         rows = self.table.view(f"V{self.table.shape[1]}").ravel().take(idx).view(np.uint8)
         return rows[rows != 0].tobytes()
@@ -293,22 +289,31 @@ def wielandt_bound(d: int) -> int:
     return d * d - 2 * d + 2
 
 
-def primitivity_exponent(m: IntMatrix) -> int | None:
-    """Smallest k with m^k strictly positive, or None if none exists
-    up to the Wielandt bound (which is conclusive for nonnegative m).
-
-    Which entries of m^k are positive depends only on which entries of m
-    are, so the powers are taken of m's 0/1 pattern, cut back to 0/1 after
-    each product; its entries stay at most d, exact in float."""
-    if not m.is_nonnegative():
-        raise ValueError("primitivity is only defined for nonnegative matrices")
-    pattern = np.array([[x > 0 for x in row] for row in m.rows], dtype=float)
-    power = pattern
-    for k in range(1, wielandt_bound(m.n) + 1):
+def positive_prefix(patterns: Iterable[np.ndarray]) -> int | None:
+    """The fewest leading factors whose product is strictly positive, or
+    None if the factors run out first.  A factor is given by its boolean
+    `IntMatrix.pattern`, since the positive entries of a product of
+    nonnegative matrices depend only on those of the factors.  Entry (i, l)
+    of a product is whether row i and column l share a set bit, tested on
+    bits packed eight to a byte: exact, and free of BLAS threads."""
+    power = None
+    for k, pattern in enumerate(patterns, start=1):
+        if power is None:
+            power = pattern
+        else:
+            rows, cols = np.packbits(power, axis=1), np.packbits(pattern.T, axis=1)
+            power = (rows[:, None, :] & cols[None, :, :]).any(axis=2)
         if power.all():
             return k
-        power = np.minimum(power @ pattern, 1.0)
     return None
+
+
+def primitivity_exponent(m: IntMatrix) -> int | None:
+    """Smallest k with m^k strictly positive, or None if none exists
+    up to the Wielandt bound (which is conclusive for nonnegative m)."""
+    if not m.is_nonnegative():
+        raise ValueError("primitivity is only defined for nonnegative matrices")
+    return positive_prefix([m.pattern()] * wielandt_bound(m.n))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .core import (
     ResourceError,
     Substitution,
     abelianize,
+    as_letters,
 )
 from .spectral import (
     GammaLattice,
@@ -107,9 +108,7 @@ class SteppedLine:
 
 def stepped_line(word: bytes, d: int) -> SteppedLine:
     """Integer broken line of a word in Z^d."""
-    arr = np.frombuffer(word, dtype=np.uint8)
-    if arr.size and (arr.min() < 1 or arr.max() > d):
-        raise ValueError("word contains letters outside 1..d")
+    arr = as_letters(word, d)
     # one 1 per row of verts[1:], summed in place: no (n, d) temporary
     verts = np.zeros((len(word) + 1, d), dtype=np.int64)
     verts[np.arange(1, len(word) + 1), arr - 1] = 1
@@ -162,9 +161,7 @@ def _project_line(sd: SpectralData, word: bytes) -> np.ndarray:
     depend on the operand's shape.  At its peak the call holds that operand
     and the result: 8 * (2d - 1) bytes per point."""
     n, d = len(word), sd.d
-    letters = np.frombuffer(word, dtype=np.uint8)
-    if n and (letters.min() < 1 or letters.max() > d):
-        raise ValueError("word contains letters outside 1..d")
+    letters = as_letters(word, d)
     centered = np.zeros((n, d))
     for j in range(d):
         centered[1:, j] = letters[:-1] == j + 1
@@ -462,28 +459,27 @@ def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> Rauzy
 
 
 def _thin(points: np.ndarray, keep: int, key_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministically keep `keep` points: those with the smallest
-    splitmix64 keys, preserving original order.  Returns (kept, removed)."""
-    n = len(points)
-    keys = splitmix64_array(key_seed, 0, n)
-    sel = np.argpartition(keys, keep - 1)[:keep] if keep < n else np.arange(n)
-    sel.sort()
-    mask = np.zeros(n, dtype=bool)
-    mask[sel] = True
+    """Deterministically keep `keep` of the rows, 1 <= keep <= len(points):
+    those with the smallest splitmix64 keys, preserving original order.
+    Returns (kept, removed).  The keys are distinct (splitmix64 is a
+    bijection of its index), so the rows whose key is at most the keep-th
+    smallest are exactly keep rows."""
+    keys = splitmix64_array(key_seed, 0, len(points))
+    mask = keys <= np.partition(keys, keep - 1)[keep - 1]
     return np.compress(mask, points, axis=0), np.compress(~mask, points, axis=0)
 
 
 def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> float:
     """Largest adapted distance from a removed point to its nearest kept
-    point, as a k-d tree over all the kept points measures it.
+    point, by the plain formula `hausdorff` uses.
 
     One pass of `_farthest`: no tree holds all the kept points unless the
     cells its rows need hold most of them, as on a kept cloud not much
     larger than the sample (see `_nearest`).  The grids, keys and adapted
     copies are freed on return, before the next level is stepped."""
     query, target = to_adapted(sd, removed), to_adapted(sd, kept)
-    r, grid = _sampled_grid(query, target, plain=False)
-    loss, _ = _farthest(query, grid.keys(query), target, grid.keys(target), grid, r, plain=False)
+    r, grid = _sampled_grid(query, target)
+    loss, _ = _farthest(query, grid.keys(query), target, grid.keys(target), grid, r)
     return float(loss)
 
 
@@ -502,14 +498,8 @@ def gifs_attractor(
     meta["error_bound"].
 
     A level's loss is the largest distance from a removed point to its
-    nearest kept point, as a k-d tree over all the kept points measures it,
-    found by one pass of `_farthest` with r the exact maximum over a
-    strided sample of the removed points.  A removed point drops out of
-    that pass only when a kept point is certainly nearer than r, found in
-    its grid cell or a neighbouring one; every other removed point gets its
-    exact nearest distance from a small tree over the kept points in the
-    cells around it, so the loss is the same number a query of every
-    removed point against the whole kept cloud gives (`_thinning_loss`).
+    nearest kept point, by the plain formula, from one pass of `_farthest`
+    (`_thinning_loss`): the number a brute-force search gives.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
@@ -601,10 +591,10 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise DomainError("Hausdorff distance of an empty set is undefined")
     swap = len(a) > len(b)
     small, large = (b, a) if swap else (a, b)
-    r, grid = _sampled_grid(large, small, plain=True)
+    r, grid = _sampled_grid(large, small)
     keys_s, keys_l = grid.keys(small), grid.keys(large)
-    far_l = _farthest(large, keys_l, small, keys_s, grid, r, plain=True)
-    far_s = _farthest(small, keys_s, large, keys_l, grid, far_l[0], plain=True)
+    far_l = _farthest(large, keys_l, small, keys_s, grid, r)
+    far_s = _farthest(small, keys_s, large, keys_l, grid, far_l[0])
     (d_ab, i), (d_ba, j) = (far_l, far_s) if swap else (far_s, far_l)
     if d_ab >= d_ba:
         return HausdorffResult(float(d_ab), a[i].copy(), _lowest_nearest(b, a[i], d_ab), "a_to_b")
@@ -679,7 +669,7 @@ def _grid(lo, extent, side: float, max_cells: int, clears: float) -> _Grid | Non
     return _Grid(lo - side / 2, side, shape, strides, clears)
 
 
-def _sampled_grid(query, target, plain: bool) -> tuple[float, _Grid]:
+def _sampled_grid(query, target) -> tuple[float, _Grid]:
     """r, the exact directed maximum over a strided sample of about
     _SAMPLE_ROWS query rows, and `_kernel_grid`'s grid for r: the lower
     bound and the grid a `_farthest` pass takes.  The sample's nearest
@@ -689,7 +679,7 @@ def _sampled_grid(query, target, plain: bool) -> tuple[float, _Grid]:
     pts = query[:: -(-len(query) // _SAMPLE_ROWS)]
     grid = _spread_grid(target, box, len(pts))
     dist, idx = _nearest(pts, grid.keys(pts), target, grid.keys(target), grid, 1)
-    r = _top(pts, dist, idx, target, plain)[0]
+    r = _top(pts, dist, idx, target)[0]
     return r, _kernel_grid(target, box, r, len(query))
 
 
@@ -747,7 +737,7 @@ def _spread_grid(target: np.ndarray, box, n_query: int) -> _Grid:
     return grid
 
 
-def _farthest(query, qkeys, target, tkeys, grid: _Grid, r: float, plain: bool) -> tuple[float, int]:
+def _farthest(query, qkeys, target, tkeys, grid: _Grid, r: float) -> tuple[float, int]:
     """One direction of the directed-distance kernel: the largest distance
     from a query row to its nearest target point and the lowest row at that
     maximum, given a lower bound r on the answer and each row's key on
@@ -766,26 +756,22 @@ def _farthest(query, qkeys, target, tkeys, grid: _Grid, r: float, plain: bool) -
     rows = np.arange(len(query)) if cleared is None else np.flatnonzero(~cleared)
     pts = query[rows]
     dist, idx = _nearest(pts, qkeys[rows], target, tkeys, grid, int(r / grid.side) + 1)
-    top, at = _top(pts, dist, idx, target, plain)
+    top, at = _top(pts, dist, idx, target)
     return top, int(rows[at]) if at >= 0 else -1
 
 
-def _top(pts, dist, idx, target, plain: bool) -> tuple[float, int]:
-    """Largest of the rows' nearest distances and the first row attaining
-    it; (-inf, -1) when there are no rows.  Distances are the tree's own,
-    or with `plain` the plain formula over each row's nearest target row
-    idx: the tree's distance differs from it by a few ulps, so the rows at
-    the plain maximum are among those within a relative 1e-12 of the
-    tree's, and only those get the plain formula."""
+def _top(pts, dist, idx, target) -> tuple[float, int]:
+    """Largest of the rows' nearest distances by the plain formula over each
+    row's nearest target row idx, and the first row attaining it; (-inf, -1)
+    when there are no rows.  The tree's distances dist differ from the plain
+    formula by a few ulps, so the rows at the plain maximum are among those
+    within a relative 1e-12 of the tree's, and only those get the formula."""
     if not len(dist):
         return -np.inf, -1
-    if plain:
-        near = np.flatnonzero(dist >= dist.max() * (1 - 1e-12))
-        exact = _distances(pts[near], target[idx[near]])
-        top = exact.max()
-        return top, int(near[np.argmax(exact == top)])
-    top = dist.max()
-    return top, int(np.argmax(dist == top))
+    near = np.flatnonzero(dist >= dist.max() * (1 - 1e-12))
+    exact = _distances(pts[near], target[idx[near]])
+    top = exact.max()
+    return top, int(near[np.argmax(exact == top)])
 
 
 def _nearest(pts, keys, target, tkeys, grid: _Grid, reach: int) -> tuple[np.ndarray, np.ndarray]:

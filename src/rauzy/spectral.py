@@ -21,8 +21,19 @@ from .core import (
     DomainError,
     IndeterminateError,
     IntMatrix,
+    ResourceError,
     primitivity_exponent,
 )
+
+# letters above which perron_data refuses: char_poly takes O(d^4) Python-int
+# operations, seconds at d = 100
+MAX_SPECTRAL_LETTERS = 64
+# eigenvector tolerance; power-iteration steps; terms of the averaged form,
+# and the least ratio it aims at, so that theta^(-2 _WINDOW) stays finite
+_TOL = 1e-12
+_MAX_ITER = 50_000
+_WINDOW = 64
+_MIN_THETA = 0.01
 
 
 @dataclass(frozen=True)
@@ -137,15 +148,15 @@ class SpectralData:
     pisot_doubt: str | None  # why pisot is None
 
 
-def _power_iterate(a: np.ndarray, tol: float, max_iter: int = 50_000) -> np.ndarray:
+def _power_iterate(a: np.ndarray) -> np.ndarray:
     x = np.full(a.shape[0], 1.0 / a.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = a @ x
         s = np.abs(y).sum()
         if s == 0.0:
             raise ConvergenceError("power iteration collapsed to zero")
         y /= s
-        if np.max(np.abs(y - x)) < tol:
+        if np.max(np.abs(y - x)) < _TOL:
             return y
         x = y
     raise ConvergenceError("power iteration did not converge")
@@ -183,16 +194,17 @@ def _eigen_transform(m_s: np.ndarray) -> np.ndarray | None:
     return np.linalg.inv(w)
 
 
-def _window_transform(m_s: np.ndarray, target: float, window: int = 64) -> np.ndarray:
+def _window_transform(m_s: np.ndarray, target: float) -> np.ndarray:
     """Averaged quadratic form sum_k theta^(-2k) ||M_s^k y||^2; its Cholesky
     factor defines a norm whose contraction ratio approaches theta from above
-    as the window grows.  Used when the eigenbasis is ill conditioned."""
-    theta = target * (1.0 + 1e-3)
+    as the window grows.  Used when the eigenbasis is ill conditioned, as
+    for a nilpotent M_s (target 0), where the ratio is about _MIN_THETA."""
+    theta = max(target, _MIN_THETA) * (1.0 + 1e-3)
     n = m_s.shape[0]
     q = np.zeros((n, n))
     p = np.eye(n)
     scale = 1.0
-    for _ in range(window + 1):
+    for _ in range(_WINDOW + 1):
         q += scale * (p.T @ p)
         p = p @ m_s
         scale /= theta * theta
@@ -229,11 +241,14 @@ def _inverse_polish(a: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
     return best
 
 
-def perron_data(m: IntMatrix, tol: float = 1e-12) -> SpectralData:
+def perron_data(m: IntMatrix) -> SpectralData:
     """Compute eigendata, stable projection, and adapted norm for a primitive
-    integer matrix.  Raises DomainError when m is not primitive and
-    ConvergenceError when the numerics cannot reach tolerance."""
+    integer matrix.  Raises ResourceError above MAX_SPECTRAL_LETTERS letters,
+    DomainError when m is not primitive and ConvergenceError when the
+    numerics cannot reach tolerance."""
     d = m.n
+    if d > MAX_SPECTRAL_LETTERS:
+        raise ResourceError(f"{d} letters exceed the cap of {MAX_SPECTRAL_LETTERS} for spectral work")
     exp = primitivity_exponent(m)
     if exp is None:
         raise DomainError("matrix is not primitive; no power is strictly positive")
@@ -241,7 +256,7 @@ def perron_data(m: IntMatrix, tol: float = 1e-12) -> SpectralData:
     mf = np.asarray(m.rows, dtype=float)
     me = np.linalg.matrix_power(mf, exp)
 
-    x = _power_iterate(me, tol)
+    x = _power_iterate(me)
     beta = float(x @ (mf @ x)) / float(x @ x)
     # Newton polish against the exact characteristic polynomial.
     for _ in range(60):
@@ -260,9 +275,9 @@ def perron_data(m: IntMatrix, tol: float = 1e-12) -> SpectralData:
     u = x / x.sum()
     if np.min(u) <= 0:
         raise ConvergenceError("right eigenvector is not strictly positive")
-    if float(np.linalg.norm(mf @ u - beta * u, np.inf)) > tol * beta:
+    if float(np.linalg.norm(mf @ u - beta * u, np.inf)) > _TOL * beta:
         raise ConvergenceError("Perron residual did not reach tolerance")
-    y = _power_iterate(me.T, tol)
+    y = _power_iterate(me.T)
     y = _inverse_polish(mf.T, beta, y)
     v = y / float(y @ u)
 

@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rauzy.adic import (
     DirectiveSequence,
+    SubstitutionSet,
     balance,
     balances,
     factor_gap_check,
@@ -19,7 +22,7 @@ from rauzy.adic import (
     splitmix64_array,
     splitmix64_unit,
 )
-from rauzy.core import Alphabet, DomainError, ParseError, ResourceError
+from rauzy.core import Alphabet, DomainError, ParseError, ResourceError, Substitution
 
 AL3 = Alphabet("abc")
 
@@ -138,14 +141,66 @@ def test_primitive_sequence_sturmian(sturmian_set):
     assert is_primitive_sequence(parse_sequence_spec("(1)", 2), sturmian_set) is None
     # alternating: the product of the two triangular matrices is positive
     assert is_primitive_sequence(parse_sequence_spec("(12)", 2), sturmian_set) == 1
-    # horizon zero only inspects the single leading matrix
-    assert is_primitive_sequence(parse_sequence_spec("(12)", 2), sturmian_set, horizon=0) is None
 
 
 def test_primitive_sequence_positive_matrix(doubling_set):
     # with an already positive incidence matrix one factor is enough: k = 0
     seq = parse_sequence_spec("(1)", 1)
     assert is_primitive_sequence(seq, doubling_set) == 0
+
+
+def _positive_after_by_exact_products(seq, sset, horizon=64):
+    """Smallest k <= horizon with the exact integer product of the first
+    k + 1 incidence matrices strictly positive, else None; a shared matrix
+    is multiplied without reading the sequence."""
+    prod = None
+    for k in range(horizon + 1):
+        if sset.shared_matrix is not None:
+            m = sset.shared_matrix
+        else:
+            try:
+                m = sset.matrices[seq[k]]
+            except IndexError:
+                return None
+        prod = m if prod is None else prod @ m
+        if all(x > 0 for row in prod.rows for x in row):
+            return k
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_primitive_sequence_matches_exact_products(data):
+    # shared sets permute the letters of one substitution's images, which
+    # keeps its matrix; other sets draw every image.  Short images make
+    # permutation-like matrices, so finite sequences often end first
+    d = data.draw(st.integers(2, 6), label="d")
+    count = data.draw(st.integers(1, 3), label="count")
+    image = st.lists(st.integers(1, d), min_size=1, max_size=3)
+    base = [data.draw(image) for _ in range(d)]
+    if data.draw(st.booleans(), label="shared"):
+        images = [[data.draw(st.permutations(w)) for w in base] for _ in range(count)]
+    else:
+        images = [base] + [[data.draw(image) for _ in range(d)] for _ in range(count - 1)]
+    al = Alphabet("abcdef"[:d])
+    sset = SubstitutionSet(Substitution(al, tuple(bytes(w) for w in ws), f"s{i}") for i, ws in enumerate(images))
+    entry = st.integers(0, count - 1)
+    kind = data.draw(st.sampled_from(["explicit", "periodic", "random"]), label="kind")
+    if kind == "explicit":
+        seq = DirectiveSequence.explicit(data.draw(st.lists(entry, max_size=8)))
+    elif kind == "periodic":
+        seq = DirectiveSequence.periodic(data.draw(st.lists(entry, max_size=3)), data.draw(st.lists(entry, min_size=1, max_size=3)))
+    else:
+        seq = DirectiveSequence.random(data.draw(st.integers(0, 2**64 - 1)), count)
+    assert is_primitive_sequence(seq, sset) == _positive_after_by_exact_products(seq, sset)
+
+
+def test_primitive_sequence_ends_with_a_finite_sequence(sturmian_set):
+    # the two factors' product is positive; a sequence that ends after one
+    # factor, or before any, gives None
+    assert is_primitive_sequence(DirectiveSequence.explicit([0, 1]), sturmian_set) == 1
+    assert is_primitive_sequence(DirectiveSequence.explicit([0]), sturmian_set) is None
+    assert is_primitive_sequence(DirectiveSequence.explicit([]), sturmian_set) is None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +330,7 @@ def test_balances_equal_balance_at_each_window_length():
     assert balances(word, []) == []
     with pytest.raises(DomainError):
         balances(word, [1, 301])
-    with pytest.raises(ValueError, match="outside 1..d"):
+    with pytest.raises(ValueError, match="byte 3 is not a letter in 1..2"):
         balances(b"\x01\x03", [1, 2], d=2)
 
 
@@ -286,7 +341,7 @@ def test_balance_domain():
         balance(b"\x01\x02", 3)
     # a letter outside 1..d is refused, not wrapped around
     for word in (b"\x01\x00", b"\x01\x03"):
-        with pytest.raises(ValueError, match="outside 1..d"):
+        with pytest.raises(ValueError, match=f"byte {word[1]} is not a letter in 1..2"):
             balance(word, 1, d=2)
 
 

@@ -842,10 +842,10 @@ def _cyclic(symbols: str, *shifts: int) -> str:
 _DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 
-def _wide(n: int) -> str:
-    """n symbols past ASCII, two blocks with different matrices, so `info`
-    prints them without the spectral work."""
-    return _cyclic("".join(chr(0x100 + i) for i in range(n)), 1, 2)
+def _wide(n: int, shifts=(1, 2)) -> str:
+    """n symbols past ASCII; the default two blocks have different
+    matrices, so `info` prints them without the spectral work."""
+    return _cyclic("".join(chr(0x100 + i) for i in range(n)), *shifts)
 
 
 @st.composite
@@ -864,10 +864,13 @@ def _small_subs_files(draw) -> str:
 @example(text=_wide(255))
 @example(text=_wide(256))
 @example(text=_wide(300))
+@example(text=_wide(100, shifts=(1,)))
+@example(text=_wide(255, shifts=(1,)))
 def test_info_on_generated_files_keeps_the_exit_contract(tmp_path, capsys, text):
     # random non-erasing images at d = 2..8, the cyclic 62-letter files
     # whose primitivity test ran to the Wielandt bound in exact integers,
-    # and alphabets at and past the 255 letters a byte holds
+    # alphabets at and past the 255 letters a byte holds, and same-matrix
+    # files over the 64-letter spectral cap, refused before any output
     path = tmp_path / "generated.subs"
     path.write_text(text, encoding="utf-8")
     start = time.perf_counter()
@@ -879,5 +882,19 @@ def test_info_on_generated_files_keeps_the_exit_contract(tmp_path, capsys, text)
     size = len(text.splitlines()[0]) - len("alphabet: ")
     if size == 62:
         assert code == 0 and "primitive: no" in out
-    if size >= 255:
+    if 64 < size <= 255 and text.count("[sub ") == 1:
+        assert code == 4 and out == ""
+    elif size >= 255:
         assert code == (0 if size == 255 else 2)
+
+
+def test_balance_on_a_wide_cyclic_file_stalls_without_the_wielandt_loop(tmp_path, capsys):
+    # a 255-letter permutation never grows: the tower stalls (exit 4), and
+    # the primitivity look-ahead stops at its 64-level horizon
+    path = tmp_path / "wide.subs"
+    path.write_text(_wide(255, shifts=(1,)), encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="primitive"):
+        code, out = _run_main(["balance", "--subs", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,9 @@ from rauzy.core import (
     ResourceError,
     Substitution,
     abelianize,
+    as_letters,
     parse_substitution_set,
     primitivity_exponent,
-    validate_word,
     wielandt_bound,
 )
 
@@ -71,11 +72,16 @@ def test_alphabet_unknown_symbol():
 
 
 def test_validate_word():
-    validate_word(b"\x01\x03", 3)
-    with pytest.raises(ValueError):
-        validate_word(b"\x00\x01", 3)
-    with pytest.raises(ValueError):
-        validate_word(b"\x04", 3)
+    letters = as_letters(b"\x01\x03", 3)
+    assert letters.dtype == np.uint8 and letters.tolist() == [1, 3]
+    assert as_letters(b"", 3).size == 0
+    # the message names the first byte outside 1..d
+    with pytest.raises(ValueError, match="byte 0 is not a letter in 1..3"):
+        as_letters(b"\x02\x00\x04", 3)
+    with pytest.raises(ValueError, match="byte 4 is not a letter in 1..3"):
+        as_letters(b"\x04\x00", 3)
+    with pytest.raises(ValueError, match="byte 4 is not a letter in 1..3"):
+        abelianize(b"\x01\x04", 3)
 
 
 def test_abelianize_counts():
@@ -210,7 +216,7 @@ def _exponent_by_exact_powers(m: IntMatrix) -> int | None:
     exact integer powers."""
     power = m
     for k in range(1, wielandt_bound(m.n) + 1):
-        if power.is_positive():
+        if all(x > 0 for row in power.rows for x in row):
             return k
         power = power @ m
     return None

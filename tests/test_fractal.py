@@ -887,6 +887,21 @@ def test_gifs_thinning_equals_balanced_tree_reference(tribo_set, tetra_set, monk
             assert res.points[i].tobytes() == want.points[i].tobytes()
 
 
+@pytest.mark.parametrize("n, keep", [(10, 1), (10, 9), (10, 10), (1000, 500), (200_000, 123_457)])
+def test_thin_keeps_the_rows_of_the_smallest_keys(n, keep):
+    # against an argpartition of the keys, sorted back into row order
+    from rauzy import fractal
+    from rauzy.adic import splitmix64_array
+
+    points = np.arange(2 * n, dtype=float).reshape(n, 2)
+    sel = np.sort(np.argpartition(splitmix64_array(77, 0, n), keep - 1)[:keep])
+    mask = np.zeros(n, dtype=bool)
+    mask[sel] = True
+    kept, removed = fractal._thin(points, keep, key_seed=77)
+    assert kept.tobytes() == points[mask].tobytes()
+    assert removed.tobytes() == points[~mask].tobytes()
+
+
 def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, kdtree_log):
     from rauzy import fractal
 
@@ -1204,9 +1219,9 @@ def test_kernel_bounds_the_smaller_set_at_the_larger_sets_maximum(monkeypatch):
     bounds = []
     inner = fractal._farthest
 
-    def spy(query, qkeys, target, tkeys, grid, r, plain):
+    def spy(query, qkeys, target, tkeys, grid, r):
         bounds.append((len(query), r))
-        return inner(query, qkeys, target, tkeys, grid, r, plain=plain)
+        return inner(query, qkeys, target, tkeys, grid, r)
 
     monkeypatch.setattr(fractal, "_farthest", spy)
     rng = np.random.default_rng(14)

@@ -236,6 +236,17 @@ def test_window_transform_contracts_a_defective_block():
     assert (mapped <= ratio * norms * (1 + 1e-12)).all()
 
 
+@pytest.mark.parametrize("rows", [[[1, 1, 1], [0, 1, 1], [1, 0, 0]], [[2, 2, 0], [1, 0, 1], [1, 0, 1]]])
+def test_nilpotent_defective_stable_part_gets_a_contracting_norm(rows):
+    # char-poly x^2 (x - beta): both stable eigenvalues are 0 in one Jordan
+    # block, so the averaged form aims at the ratio floor, not at 0
+    sd = perron_data(IntMatrix(rows))
+    assert sd.stable_moduli == (0.0, 0.0)
+    assert _eigen_transform(sd.m_s) is None
+    assert 0 < sd.lam < 0.02
+    assert sd.pisot is None and "zero" in sd.pisot_doubt
+
+
 def test_adapted_norm_axioms(tribo_sd):
     rng = np.random.default_rng(41)
     assert adapted_norm(tribo_sd, np.zeros(2)) == 0.0

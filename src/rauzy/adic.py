@@ -39,31 +39,24 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(seed: int, n: int) -> int:
-    """n-th output of the splitmix64 generator with the given seed.
+def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start..start+count-1 of the splitmix64 generator with the
+    given seed, as uint64.
 
     Stateless by construction: the n-th value is a fixed bit-mixing function
-    of seed + (n+1) * golden, so any index can be evaluated independently and
-    the stream is identical across platforms.
+    of seed + (n+1) * golden mod 2^64, so any index can be evaluated
+    independently and the stream is identical across platforms.
     """
-    z = (seed + (n + 1) * _GOLDEN) & _MASK64
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
-    return z ^ (z >> 31)
-
-
-def splitmix64_unit(seed: int, n: int) -> float:
-    """Uniform float in [0, 1) from the top 53 bits of splitmix64."""
-    return (splitmix64(seed, n) >> 11) / float(1 << 53)
-
-
-def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized splitmix64 outputs for indices start..start+count-1."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def splitmix64_unit(seed: int, n: int) -> float:
+    """Uniform float in [0, 1) from the top 53 bits of the n-th output."""
+    return (int(splitmix64_array(seed, n, 1)[0]) >> 11) / float(1 << 53)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +490,15 @@ class BalanceReport:
     c: int
 
 
-def balance(word: bytes, k: int, d: int | None = None) -> BalanceReport:
-    """Max minus min of each letter's count over all length-k windows.
+def balances(word: bytes, ks, d: int | None = None) -> list[BalanceReport]:
+    """Max minus min of each letter's count over all length-k windows, at
+    each window length k of the sequence ks, all taken from one stepped
+    line of the word; every length is checked first.
 
     The overall constant c bounds how far the word drifts from its letter
-    frequencies at this window size.  A letter outside 1..d is a
+    frequencies at that window size.  A letter outside 1..d is a
     ValueError.
     """
-    return balances(word, (k,), d)[0]
-
-
-def balances(word: bytes, ks, d: int | None = None) -> list[BalanceReport]:
-    """`balance` at each window length of the sequence ks, all taken from
-    one stepped line of the word; every length is checked first."""
     from .fractal import stepped_line  # fractal imports this module
 
     if any(k < 1 or k > len(word) for k in ks):

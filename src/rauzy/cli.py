@@ -201,7 +201,10 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _print_cloud_summary(approx) -> None:
+def _report_cloud(args, seq, approx) -> int:
+    """What `fractal` and `gifs` print for the cloud they built, and the
+    files --out asks for."""
+    print(f"sequence: {seq.describe()}")
     per = ", ".join(f"{i}:{len(approx.points[i])}" for i in sorted(approx.points))
     print(f"points: {approx.total()} ({per})")
     meta = approx.meta
@@ -215,26 +218,22 @@ def _print_cloud_summary(approx) -> None:
         print(f"error-bound: {meta['error_bound']:.6g} (ratio {meta['ratio']:.6f}, depth {meta['depth']})")
     if meta.get("thinned"):
         print(f"thinned: yes (extra loss {meta['thinning_loss']:.6g})")
+    _write_outputs(args, approx)
+    return 0
 
 
 def cmd_fractal(args) -> int:
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     approx = project_prefixes(seq, sset, args.points, chain_index=args.chain, budget=args.budget)
-    print(f"sequence: {seq.describe()}")
-    _print_cloud_summary(approx)
-    _write_outputs(args, approx)
-    return 0
+    return _report_cloud(args, seq, approx)
 
 
 def cmd_gifs(args) -> int:
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     approx = gifs_attractor(seq, sset, args.depth, budget=args.budget)
-    print(f"sequence: {seq.describe()}")
-    _print_cloud_summary(approx)
-    _write_outputs(args, approx)
-    return 0
+    return _report_cloud(args, seq, approx)
 
 
 def cmd_compare(args) -> int:
@@ -345,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, seq_default="(1)"):
+    def add_common(sp):
         sp.add_argument("--subs", required=True, help="substitution file")
-        sp.add_argument("--seq", default=seq_default, help="directive sequence spec")
+        sp.add_argument("--seq", default="(1)", help="directive sequence spec")
         sp.add_argument("--seed", type=int, default=None, help="seed for --seq random")
         sp.add_argument("--chain", type=int, default=0, help="limit-point chain index")
 
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("check", help="run the invariant suite")
-    add_common(sp, seq_default="(1)")
+    add_common(sp)
     sp.add_argument(
         "--inject-fault",
         choices=["ratio", "translation"],

@@ -605,8 +605,8 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
 _SAMPLE_ROWS = 4096
 # a grid may have at most this many cells per row it serves (a map of at
 # most 32 bytes per row), at most _MAX_CELLS in all (so a key fits in
-# int32), and at most _AXIS_CELLS along an axis (see `_kernel_grid` for a
-# grid r would make finer)
+# int32), and at most _AXIS_CELLS along an axis (`_kernel_grid` falls back
+# to a grid that clears nothing when r would make one finer)
 _CELLS_PER_ROW = 8
 _MAX_CELLS = (1 << 31) - 1
 _AXIS_CELLS = 1 << 20
@@ -687,18 +687,12 @@ def _kernel_grid(target: np.ndarray, box, r: float, n_query: int) -> _Grid:
     """The grid a `_farthest` pass clears by: cubes of side
     r / (sqrt(k) (1 + 1e-9)) over target's box, so two points in one cube
     are strictly nearer than r, with at most _CELLS_PER_ROW cells per row of
-    the query and target.  When that grid is too fine, the finest one up to
-    twice as coarse, in steps of 2^(1/8), that fits: its cubes are certain
-    only for a larger radius (`clears`), and `_cleared` tests a row's own
-    cell by distance.  When r is 0 or no such grid fits, the grid of
-    `_spread_grid`, which clears nothing."""
+    the query and target.  When r is 0 or that grid does not fit, the grid
+    of `_spread_grid`, which clears nothing."""
     lo, extent = box
     cap = _CELLS_PER_ROW * (n_query + len(target))
-    for scale in 2.0 ** (np.arange(9) / 8):
-        grid = _grid(lo, extent, r * scale / (np.sqrt(target.shape[1]) * (1 + 1e-9)), cap, r * scale)
-        if grid is not None:
-            return grid
-    return _spread_grid(target, box, n_query)
+    grid = _grid(lo, extent, r / (np.sqrt(target.shape[1]) * (1 + 1e-9)), cap, r)
+    return grid if grid is not None else _spread_grid(target, box, n_query)
 
 
 def _spread_grid(target: np.ndarray, box, n_query: int) -> _Grid:
@@ -840,43 +834,42 @@ def _block_rows(keys, tkeys, grid: _Grid, reach: int) -> np.ndarray | None:
 
 def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray | None:
     """Mask of the query rows that a target point certainly lies nearer
-    than r to, or None, clearing nothing, when r is 0 or the grid clears
-    nothing (`_spread_grid`'s).
+    than r to, or None, clearing nothing, on a grid that clears nothing
+    (`_spread_grid`'s).  r is at least the grid's `clears`: the r
+    `_kernel_grid` built it for, or a larger one.
 
     The grid covers the box of the query or of the target, so one of any
     pair lies in the box, never on the ring, and two rows with one key
     share a cell.  Each occupied cell remembers one of its target rows in
     an int32 map, -1 where the cell is empty; which one does not matter.
-    When the grid's cells hold no two points r or more apart (`clears` at
-    most r), a row whose own cell is occupied is cleared; on a coarser grid
-    the own cell is walked first, like a neighbour.  Each other row walks
-    its cell's 3^k - 1 neighbours, face neighbours first, and is cleared
-    once a neighbour's target row lies within r (1 - 1e-12) by the plain
-    squared formula.  A cleared row is thus nearer than r by a real target
-    point, and every row at or above r is left.  Only a row on the ring has
-    neighbours past the grid's edge; their keys wrap onto other cells, or
-    are clipped onto the map's end cells, and a target row found there
-    clears the row only by its distance.
+    The grid's cells hold no two points r or more apart, so a row whose own
+    cell is occupied is cleared.  Each other row walks its cell's 3^k - 1
+    neighbours, face neighbours first, and is cleared once a neighbour's
+    target row lies within r (1 - 1e-12) by the plain squared formula.  A
+    cleared row is thus nearer than r by a real target point, and every
+    row at or above r is left.  Only a row on the ring has neighbours past
+    the grid's edge; their keys wrap onto other cells, or are clipped onto
+    the map's end cells, and a target row found there clears the row only
+    by its distance.
 
     The map takes 4 bytes a cell, at most 4 _CELLS_PER_ROW = 32 bytes per
     query and target row, and the mask one byte per query row.  Rows are
     looked up and walked _CHUNK_ROWS at a time, with at most 64 k bytes of
     temporaries per row of a chunk.
     """
-    if not (grid.clears > 0 and r > 0):
+    if not grid.clears:
         return None
     occupant = np.full(grid.cells, -1, dtype=np.int32)
     for start in range(0, len(target), _CHUNK_ROWS):
         keys = tkeys[start : start + _CHUNK_ROWS]
         occupant[keys] = np.arange(start, start + len(keys), dtype=np.int32)
-    own_cell_clears = grid.clears <= r
-    steps = _neighbour_steps(grid.strides) if own_cell_clears else [0, *_neighbour_steps(grid.strides)]
+    steps = _neighbour_steps(grid.strides)
     bound = (r * (1 - 1e-12)) ** 2
     cleared = np.ones(len(query), dtype=bool)
     for start in range(0, len(query), _CHUNK_ROWS):
         pts = query[start : start + _CHUNK_ROWS]
         keys = qkeys[start : start + _CHUNK_ROWS].astype(np.intp)
-        left = np.flatnonzero(occupant[keys] < 0) if own_cell_clears else np.arange(len(keys))
+        left = np.flatnonzero(occupant[keys] < 0)
         keys = keys[left]
         for step in steps:
             if not len(left):

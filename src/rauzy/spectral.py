@@ -51,13 +51,9 @@ class CharPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = 0.0 * x + 0.0  # promotes to complex when x is complex
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
+        """p(x) by Horner's rule, exactly for an int x; the accumulator
+        starts at x * 0, so it takes x's type (float, complex or int)."""
+        acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -131,7 +127,6 @@ class SpectralData:
     """Everything spectral the rest of the package needs, computed once."""
 
     d: int
-    matrix: IntMatrix
     char: CharPoly
     det: int
     primitivity_exp: int
@@ -220,14 +215,12 @@ def _inverse_polish(a: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
     vector is pushed down to machine precision.  Keeps the best iterate by
     measured residual, so a breakdown of the near-singular solve is harmless.
     """
-    shift = a - beta * np.eye(a.shape[0])
     best = x / np.linalg.norm(x)
     best_res = float(np.linalg.norm(a @ best - beta * best, np.inf))
     cur = best
     for _ in range(3):
-        try:
-            y = np.linalg.solve(shift, cur)
-        except np.linalg.LinAlgError:
+        y = _shifted_solve(a, beta, cur)
+        if y is None:
             break
         norm = float(np.linalg.norm(y))
         if not np.isfinite(norm) or norm == 0.0:
@@ -239,6 +232,19 @@ def _inverse_polish(a: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
         if res < best_res:
             best, best_res = cur, res
     return best
+
+
+def _shifted_solve(a: np.ndarray, beta: float, rhs: np.ndarray) -> np.ndarray | None:
+    """The solution y of (a - beta I) y = rhs, or None.  When beta is exact
+    to the last bit, a - beta I is singular in floating point; the shift an
+    ulp above beta is then solved in its place, which is inverse iteration
+    all the same."""
+    for shift in (beta, np.nextafter(beta, np.inf)):
+        try:
+            return np.linalg.solve(a - shift * np.eye(a.shape[0]), rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
 
 def perron_data(m: IntMatrix) -> SpectralData:
@@ -313,7 +319,6 @@ def perron_data(m: IntMatrix) -> SpectralData:
     pisot, doubt = _pisot_verdict(beta, moduli)
     return SpectralData(
         d=d,
-        matrix=m,
         char=poly,
         det=m.det(),
         primitivity_exp=exp,
@@ -395,7 +400,7 @@ def is_irreducible_charpoly(poly: CharPoly) -> bool:
         return False
     divisors = [k for k in range(1, abs(a0) + 1) if a0 % k == 0]
     for r in divisors:
-        if poly.eval_int(r) == 0 or poly.eval_int(-r) == 0:
+        if poly(r) == 0 or poly(-r) == 0:
             return False
     if n <= 3:
         return True

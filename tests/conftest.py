@@ -164,6 +164,16 @@ def tetra_set(data_dir):
     return SubstitutionSet(load_substitution_file(str(data_dir / "tetra.subs")))
 
 
+@pytest.fixture(scope="session")
+def plastic_set(data_dir):
+    return SubstitutionSet(load_substitution_file(str(data_dir / "plastic.subs")))
+
+
+@pytest.fixture(scope="session")
+def penta_set(data_dir):
+    return SubstitutionSet(load_substitution_file(str(data_dir / "penta.subs")))
+
+
 @pytest.fixture
 def traced_peak():
     """A function that calls fn() under tracemalloc and returns its result

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rauzy.adic import (
     DirectiveSequence,
     SubstitutionSet,
-    balance,
     balances,
     factor_gap_check,
     first_letter_map,
@@ -18,7 +17,6 @@ from rauzy.adic import (
     limit_letter_chains,
     limit_point_prefix,
     parse_sequence_spec,
-    splitmix64,
     splitmix64_array,
     splitmix64_unit,
 )
@@ -31,11 +29,21 @@ AL3 = Alphabet("abc")
 # the deterministic generator
 
 
+def splitmix64(seed: int, n: int) -> int:
+    """Oracle: the n-th splitmix64 output in Python ints, masked to 64 bits
+    after each step."""
+    mask = (1 << 64) - 1
+    z = (seed + (n + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
 def test_splitmix64_reference_vector():
     # published outputs of the reference implementation seeded with 0
-    assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
-    assert splitmix64(0, 1) == 0x6E789E6AA1B965F4
-    assert splitmix64(0, 2) == 0x06C45D188009454F
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [splitmix64(0, n) for n in range(3)] == want
+    assert [int(x) for x in splitmix64_array(0, 0, 3)] == want
 
 
 def test_splitmix64_array_matches_scalar():
@@ -48,6 +56,8 @@ def test_splitmix64_unit_interval():
     vals = [splitmix64_unit(5, n) for n in range(200)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert len(set(vals)) > 190  # no obvious collisions
+    # the top 53 bits of the oracle's word, scaled into [0, 1)
+    assert vals == [(splitmix64(5, n) >> 11) / 2.0**53 for n in range(200)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +310,14 @@ def brute_balance(word, k, d):
 
 def test_balance_spec_examples():
     # a word of period two is perfectly balanced on even windows
-    assert balance(b"\x01\x02\x01\x02\x01\x02", 2).c == 0
-    assert balance(b"\x01\x01\x02\x02", 2).c == 2
+    assert balances(b"\x01\x02\x01\x02\x01\x02", [2])[0].c == 0
+    assert balances(b"\x01\x01\x02\x02", [2])[0].c == 2
     word = b"\x01\x02\x03\x01"
-    assert balance(word, len(word)).c == 0  # single window
+    assert balances(word, [len(word)])[0].c == 0  # single window
 
 
 def test_balance_per_letter_detail():
-    rep = balance(b"\x01\x01\x02\x02", 2)
+    rep = balances(b"\x01\x01\x02\x02", [2])[0]
     assert rep.per_letter == {1: 2, 2: 2}
     assert rep.k == 2
 
@@ -319,14 +329,14 @@ def test_balance_matches_brute_force():
         d = rng.randrange(2, 4)
         word = bytes(rng.randrange(1, d + 1) for _ in range(n))
         k = rng.randrange(1, n + 1)
-        assert balance(word, k, d=d).c == brute_balance(word, k, d)
+        assert balances(word, [k], d=d)[0].c == brute_balance(word, k, d)
 
 
 def test_balances_equal_balance_at_each_window_length():
     rng = random.Random(72)
     word = bytes(rng.randrange(1, 4) for _ in range(300))
     ks = [1, 2, 7, 7, 300]
-    assert balances(word, ks, d=3) == [balance(word, k, d=3) for k in ks]
+    assert balances(word, ks, d=3) == [balances(word, [k], d=3)[0] for k in ks]
     assert balances(word, []) == []
     with pytest.raises(DomainError):
         balances(word, [1, 301])
@@ -336,13 +346,13 @@ def test_balances_equal_balance_at_each_window_length():
 
 def test_balance_domain():
     with pytest.raises(DomainError):
-        balance(b"\x01\x02", 0)
+        balances(b"\x01\x02", [0])
     with pytest.raises(DomainError):
-        balance(b"\x01\x02", 3)
+        balances(b"\x01\x02", [3])
     # a letter outside 1..d is refused, not wrapped around
     for word in (b"\x01\x00", b"\x01\x03"):
         with pytest.raises(ValueError, match=f"byte {word[1]} is not a letter in 1..2"):
-            balance(word, 1, d=2)
+            balances(word, [1], d=2)
 
 
 def test_factor_gap_literal():

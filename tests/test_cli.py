@@ -124,6 +124,18 @@ def test_info_plastic_set(tmp_path):
     assert "pisot: yes" in proc.stdout
 
 
+def test_info_when_beta_makes_the_polish_shift_singular(tmp_path, capsys):
+    # M = [[1, 4], [2, 0]], beta = (1 + sqrt 33) / 2: Newton's beta is exact
+    # to the last bit, so M - beta I is singular in floating point
+    subs = tmp_path / "bab.subs"
+    subs.write_text("alphabet: ab\n\n[sub one]\na -> bab\nb -> aaaa\n")
+    assert main(["info", "--subs", str(subs)]) == 0
+    out = capsys.readouterr().out
+    assert "char-poly: x^2 - x - 8" in out
+    assert re.search(r"^beta: 3\.37228132326901\d*$", out, re.M)
+    assert "pisot: no" in out
+
+
 def test_zero_eigenvalue_is_indeterminate(tmp_path):
     # roots 2 and 0: info reports the undecided verdict, fractal refuses
     subs = tmp_path / "zero.subs"

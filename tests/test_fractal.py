@@ -1047,13 +1047,13 @@ def test_kernel_grid_too_fine_clears_nothing(cleared_log, monkeypatch):
     _assert_both_ways(a, b)
     assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
     # a grid within the cell cap but over the per-axis cap is never built:
-    # one up to twice as coarse clears in its place when it fits, and with
-    # no box cell allowed along the axis nothing clears
+    # the pass takes one that clears nothing in its place
     cleared_log.clear()
     c = rng.random((2000, 1))
     d = np.vstack([c, [[1.5]]])
     _assert_both_ways(c, d)
     assert any(cleared is not None for cleared, _ in cleared_log)
+    cleared_log.clear()
     grids = []
     inner = fractal._cleared
 
@@ -1065,6 +1065,7 @@ def test_kernel_grid_too_fine_clears_nothing(cleared_log, monkeypatch):
     monkeypatch.setattr(fractal, "_AXIS_CELLS", 1)
     _assert_both_ways(c, d)
     assert grids and all(g.shape[0] - 3 <= fractal._AXIS_CELLS for g in grids)
+    assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
     cleared_log.clear()
     monkeypatch.setattr(fractal, "_AXIS_CELLS", 0)
     _assert_both_ways(c, d)
@@ -1081,7 +1082,8 @@ def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tet
 
     def every_removed_point(sd, kept, removed):
         # a tree over the whole kept cloud, queried by every removed point
-        return float(cKDTree(to_adapted(sd, kept)).query(to_adapted(sd, removed))[0].max())
+        kept, removed = to_adapted(sd, kept), to_adapted(sd, removed)
+        return _plain_loss(cKDTree(kept), kept, removed)
 
     monkeypatch.setattr(fractal, "_thinning_loss", every_removed_point)
     for (sset, depth, cap), res in zip(cases, got):
@@ -1089,6 +1091,13 @@ def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tet
         assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
         assert res.meta["thinning_loss"] == want.meta["thinning_loss"]
         assert res.meta["error_bound"] == want.meta["error_bound"]
+
+
+def _plain_loss(tree, kept, removed):
+    """Largest distance from a removed row to the kept row the tree finds
+    nearest, by the plain sqrt-of-squares formula the kernel reports."""
+    near = tree.query(removed)[1]
+    return float(np.sqrt(np.sum((removed - kept[near]) ** 2, axis=1)).max())
 
 
 def test_kernel_query_counts_on_compare_and_set_equation_pairs(tribo_set, tribo_sd, kdtree_log):
@@ -1302,8 +1311,6 @@ def test_kernel_grid_memory_at_the_cell_cap(traced_peak, monkeypatch):
     # the mask, a byte per query row, and at most 64 k bytes per row of the
     # chunk in hand.  The keys, 4 bytes per row, are the pass's own, made
     # once for both directions of `hausdorff`
-    from scipy.spatial import cKDTree
-
     from rauzy import fractal
 
     monkeypatch.setattr(fractal, "_CHUNK_ROWS", 4096)
@@ -1317,14 +1324,12 @@ def test_kernel_grid_memory_at_the_cell_cap(traced_peak, monkeypatch):
         s = int(round(cap ** (1 / k)))
         s -= s**k > cap
         r = np.sqrt(k) * (1 + 1e-9) / (s - 3)
-        # for a smaller r the cap takes a coarser grid, certain for more than
-        # r: a row's own cell is then tested by distance, and each row it
-        # clears is still nearer than r
-        coarser = _clearing_grid(query, target, r * 0.99)
-        assert coarser.clears > r * 0.99 and coarser.cells <= cap
-        mask = fractal._cleared(query, coarser.keys(query), target, coarser.keys(target), coarser, r * 0.99)
-        nearest = cKDTree(target).query(query)[0]
-        assert mask.any() and not np.any(nearest[mask] >= r * 0.99 * (1 - 1e-12))
+        # for a smaller r the grid would pass the cap: the pass takes one
+        # within it that clears nothing
+        fallback = _clearing_grid(query, target, r * 0.99)
+        assert fallback.clears == 0 and fallback.cells <= cap
+        qkeys, tkeys = fallback.keys(query), fallback.keys(target)
+        assert fractal._cleared(query, qkeys, target, tkeys, fallback, r * 0.99) is None
         grid = _clearing_grid(query, target, r)
         assert grid.clears == r and grid.cells <= cap
         qkeys, tkeys = grid.keys(query), grid.keys(target)
@@ -1417,8 +1422,8 @@ def test_nearest_equals_a_whole_cloud_query(k, monkeypatch):
 
 def test_thinning_builds_no_tree_over_the_kept_cloud(tribo_set, kdtree_log, monkeypatch):
     # every thinned level's loss is measured with trees over parts of the
-    # kept cloud only; the loss is the one `_thinning_loss` measured with a
-    # tree over the whole kept cloud
+    # kept cloud only; the loss is the plain formula's over the nearest
+    # rows a tree over the whole kept cloud finds
     from rauzy import fractal
 
     served = []
@@ -1427,8 +1432,9 @@ def test_thinning_builds_no_tree_over_the_kept_cloud(tribo_set, kdtree_log, monk
     def spy(sd, kept, removed):
         start = len(kdtree_log["builds"])
         loss = inner(sd, kept, removed)
-        whole = kdtree_log["cKDTree"](to_adapted(sd, kept), balanced_tree=False, compact_nodes=False)
-        want = whole.query(to_adapted(sd, removed))[0].max()
+        kept, removed = to_adapted(sd, kept), to_adapted(sd, removed)
+        whole = kdtree_log["cKDTree"](kept, balanced_tree=False, compact_nodes=False)
+        want = _plain_loss(whole, kept, removed)
         served.append((len(kept), [n for _, n, _, _ in kdtree_log["builds"][start:]], loss, want))
         return loss
 

@@ -68,7 +68,10 @@ def test_char_poly_det_consistency():
 
 def test_charpoly_eval_and_derivative():
     p = CharPoly((-1, -1, -1, 1))
-    assert p.eval_int(2) == 8 - 4 - 2 - 1
+    # an int argument stays an exact int, however large the value
+    assert p(2) == 8 - 4 - 2 - 1 and type(p(2)) is int
+    assert p(10**30) == 10**90 - 10**60 - 10**30 - 1
+    assert p(1j) == 1j**3 - 1j**2 - 1j - 1
     assert p(1.0) == pytest.approx(-2.0)
     h = 1e-7
     x = 1.7

@@ -46,19 +46,22 @@ def _draw_family(data, seed: Substitution) -> SubstitutionSet:
     return sset
 
 
-def _draw_case(data, which, tribo_set, tetra_set):
-    seed = {"tribo": tribo_set, "tetra": tetra_set}[which][0]
-    sset = _draw_family(data, seed)
+# the seed sets of the generated families: d = 3, 4, 3 (not k-bonacci) and 5
+FAMILIES = ["tribo", "tetra", "plastic", "penta"]
+
+
+def _draw_case(data, which, request):
+    sset = _draw_family(data, request.getfixturevalue(f"{which}_set")[0])
     seq = DirectiveSequence.random(data.draw(st.integers(0, 2**64 - 1), label="seq seed"), len(sset))
     chain_index = data.draw(st.integers(0, 3), label="chain index")
     return sset, seq, chain_index
 
 
-@pytest.mark.parametrize("which", ["tribo", "tetra"])
+@pytest.mark.parametrize("which", FAMILIES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_limit_prefixes_nest_on_generated_families(which, tribo_set, tetra_set, data):
-    sset, seq, chain_index = _draw_case(data, which, tribo_set, tetra_set)
+def test_limit_prefixes_nest_on_generated_families(which, request, data):
+    sset, seq, chain_index = _draw_case(data, which, request)
     n = data.draw(st.integers(1, 1500), label="n")
     m = data.draw(st.integers(n + 1, 3000), label="m")
     short = limit_point_prefix(seq, sset, n, chain_index)
@@ -67,11 +70,11 @@ def test_limit_prefixes_nest_on_generated_families(which, tribo_set, tetra_set, 
     assert long.startswith(short)
 
 
-@pytest.mark.parametrize("which", ["tribo", "tetra"])
+@pytest.mark.parametrize("which", FAMILIES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_tower_levels_on_generated_families(which, tribo_set, tetra_set, data):
-    sset, seq, chain_index = _draw_case(data, which, tribo_set, tetra_set)
+def test_tower_levels_on_generated_families(which, request, data):
+    sset, seq, chain_index = _draw_case(data, which, request)
     min_len = data.draw(st.integers(1, 3000), label="min_len")
     chain, words = limit_tower(seq, sset, min_len, chain_index)
     depth = len(words) - 1
@@ -110,11 +113,11 @@ def _reference_peel(seq, sset, word: bytes, chain_index: int) -> list[bytes]:
     return parts[::-1]
 
 
-@pytest.mark.parametrize("which", ["tribo", "tetra"])
+@pytest.mark.parametrize("which", FAMILIES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_identity_sweep_agrees_with_peel_on_generated_families(which, tribo_set, tetra_set, data):
-    sset, seq, chain_index = _draw_case(data, which, tribo_set, tetra_set)
+def test_identity_sweep_agrees_with_peel_on_generated_families(which, request, data):
+    sset, seq, chain_index = _draw_case(data, which, request)
     # short prefixes, and long ones whose peel spans at least 10 levels
     length = data.draw(st.integers(1, 3000) | st.integers(5000, 40_000), label="length")
     rep = verify_all_prefix_identities(seq, sset, length, chain_index)

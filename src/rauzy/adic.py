@@ -28,7 +28,9 @@ from .core import (
     ResourceError,
     Substitution,
     positive_prefix,
+    stepped_line,
 )
+from .spectral import perron_data
 
 # ---------------------------------------------------------------------------
 # deterministic pseudo-randomness (splitmix64, keyed by index)
@@ -102,8 +104,6 @@ class SubstitutionSet:
         if self.shared_matrix is None:
             raise DomainError("substitutions do not share an incidence matrix")
         if self._spectral is None:
-            from .spectral import perron_data
-
             self._spectral = perron_data(self.shared_matrix)
         return self._spectral
 
@@ -490,7 +490,7 @@ class BalanceReport:
     c: int
 
 
-def balances(word: bytes, ks, d: int | None = None) -> list[BalanceReport]:
+def balances(word: bytes, ks, d: int) -> list[BalanceReport]:
     """Max minus min of each letter's count over all length-k windows, at
     each window length k of the sequence ks, all taken from one stepped
     line of the word; every length is checked first.
@@ -499,13 +499,9 @@ def balances(word: bytes, ks, d: int | None = None) -> list[BalanceReport]:
     frequencies at that window size.  A letter outside 1..d is a
     ValueError.
     """
-    from .fractal import stepped_line  # fractal imports this module
-
     if any(k < 1 or k > len(word) for k in ks):
         raise DomainError("window length must be in 1..len(word)")
-    if d is None:
-        d = max(word)
-    sums = stepped_line(word, d).vertices
+    sums = stepped_line(word, d)
     reports = []
     for k in ks:
         windows = sums[k:] - sums[:-k]

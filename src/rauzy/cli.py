@@ -53,10 +53,9 @@ def _load_set(path: str) -> SubstitutionSet:
 
 def _sequence(args, sset: SubstitutionSet) -> DirectiveSequence:
     spec = args.seq
-    seed = getattr(args, "seed", None)
-    if seed is not None:
+    if args.seed is not None:
         if spec == "random":
-            spec = f"random:{seed}"
+            spec = f"random:{args.seed}"
         else:
             raise ParseError("--seed only applies together with --seq random")
     return parse_sequence_spec(spec, len(sset))
@@ -208,12 +207,11 @@ def _report_cloud(args, seq, approx) -> int:
     per = ", ".join(f"{i}:{len(approx.points[i])}" for i in sorted(approx.points))
     print(f"points: {approx.total()} ({per})")
     meta = approx.meta
-    if "max_adapted_norm" in meta and "norm_bound" in meta:
-        print(
-            f"max-adapted-norm: {meta['max_adapted_norm']:.6f} "
-            f"bound: {meta['norm_bound']:.6f} "
-            f"within-bound: {'yes' if meta['max_adapted_norm'] <= meta['norm_bound'] else 'NO'}"
-        )
+    print(
+        f"max-adapted-norm: {meta['max_adapted_norm']:.6f} "
+        f"bound: {meta['norm_bound']:.6f} "
+        f"within-bound: {'yes' if meta['max_adapted_norm'] <= meta['norm_bound'] else 'NO'}"
+    )
     if "error_bound" in meta:
         print(f"error-bound: {meta['error_bound']:.6g} (ratio {meta['ratio']:.6f}, depth {meta['depth']})")
     if meta.get("thinned"):

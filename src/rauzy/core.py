@@ -4,7 +4,9 @@ text format for substitution files.
 Letters are the integers 1..d and words are ``bytes`` whose byte values are
 letters.  Keeping words as bytes makes concatenation, slicing and counting
 cheap, and a length-10^7 word is just 10 MB.  All matrix arithmetic in this
-module is over Python integers, so nothing here ever rounds.
+module is over Python integers, so nothing here ever rounds.  The stepped
+line of a word, its prefix letter counts, is built here (`stepped_line`) and
+nowhere else: the projection, the identity sweep and `balances` read it.
 """
 
 from __future__ import annotations
@@ -110,6 +112,22 @@ def as_letters(word: bytes, d: int) -> np.ndarray:
 def abelianize(word: bytes, d: int) -> tuple[int, ...]:
     """Letter-count vector of a word, as a length-d tuple of ints."""
     return tuple(np.bincount(as_letters(word, d), minlength=d + 1)[1:].tolist())
+
+
+def stepped_line(word: bytes, d: int) -> np.ndarray:
+    """The vertices of the word's stepped line in Z^d: an (n+1, d) float64
+    array whose row t is the letter-count vector of word[:t].  Each column
+    gets a 1 in the row after each occurrence of its letter, which numpy
+    writes faster than a scatter of one 1 per row, and the rows are summed
+    in place.  The counts are exact: none exceeds the word's length (at
+    most 2^27 letters for the package's words), and float64 holds every
+    integer below 2^53."""
+    arr = as_letters(word, d)
+    verts = np.zeros((len(word) + 1, d))
+    for j in range(d):
+        verts[1:, j] = arr == j + 1
+    np.cumsum(verts, axis=0, out=verts)
+    return verts
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DomainError, ParseError
-from .fractal import RauzyApprox, _split_by_letter
+from .fractal import RauzyApprox, _box, _split_by_letter
 
 _BASE_COLORS = [(230, 57, 70), (69, 123, 157), (42, 157, 143)]
 _GOLDEN_ANGLE = 137.50776405003785
@@ -497,7 +497,7 @@ def read_points_csv(path: str) -> RauzyApprox:
         raise ParseError(f"{path}: no points")
     d = k + 1
     points = _split_by_letter(coords, letters, d)
-    return RauzyApprox(points=points, d=d, source="file", meta={"path": path})
+    return RauzyApprox(points=points, d=d, meta={"path": path})
 
 
 def render_ppm(
@@ -525,13 +525,13 @@ def render_ppm(
     parts = [p for p in approx.points.values() if len(p)]
     if not parts:
         raise DomainError("nothing to render: empty approximation")
-    # the box from each cloud's column minima and maxima, with no stacked
+    # the box from each cloud's box over the drawn columns, with no stacked
     # copy of the cloud; a one-dimensional cloud's y column is all zeros
+    los, his = zip(*(_box(p[:, :2]) for p in parts))
     lo = np.zeros(2)
     hi = np.zeros(2)
-    for j in range(min(2, parts[0].shape[1])):
-        lo[j] = np.min([p[:, j].min() for p in parts])
-        hi[j] = np.max([p[:, j].max() for p in parts])
+    lo[: len(los[0])] = np.min(los, axis=0)
+    hi[: len(his[0])] = np.max(his, axis=0)
     span = hi - lo
     pad = np.where(span > 0, span * margin, 1.0)
     lo = lo - pad

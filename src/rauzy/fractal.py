@@ -8,7 +8,9 @@ read off the outermost substitution's image splittings: subtile i of the
 sequence is the union over occurrences of i of M_s times a subtile of the
 shifted sequence plus the projected prefix count.  Both produce a dict of
 point clouds per letter, and their Hausdorff distance in the adapted norm is
-the headline consistency number.
+the headline consistency number.  The stepped line both routes start from is
+`core.stepped_line`: route one projects it, and the identity sweep compares
+it with the telescoped counts.
 
 scipy.spatial is imported by `_kdtree`, the one builder of k-d trees, at the
 first build, so the commands that never build one start without loading
@@ -17,7 +19,6 @@ scipy.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from .core import (
     ResourceError,
     Substitution,
     abelianize,
-    as_letters,
+    stepped_line,
 )
 from .spectral import (
     GammaLattice,
@@ -94,26 +95,7 @@ def _kdtree(points: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# stepped lines and projection
-
-
-@dataclass(frozen=True, eq=False)
-class SteppedLine:
-    """Vertex t is the letter-count vector of word[:t]; edge t carries
-    letters[t] = word[t]."""
-
-    vertices: np.ndarray  # (n+1, d) int64
-    letters: np.ndarray  # (n,) uint8
-
-
-def stepped_line(word: bytes, d: int) -> SteppedLine:
-    """Integer broken line of a word in Z^d."""
-    arr = as_letters(word, d)
-    # one 1 per row of verts[1:], summed in place: no (n, d) temporary
-    verts = np.zeros((len(word) + 1, d), dtype=np.int64)
-    verts[np.arange(1, len(word) + 1), arr - 1] = 1
-    np.cumsum(verts, axis=0, out=verts)
-    return SteppedLine(vertices=verts, letters=arr)
+# projection of the stepped line
 
 
 @dataclass(eq=False)
@@ -126,7 +108,6 @@ class RauzyApprox:
 
     points: dict[int, np.ndarray]
     d: int
-    source: str
     meta: dict = field(default_factory=dict)
 
     def total(self) -> int:
@@ -144,30 +125,20 @@ def _split_by_letter(pts: np.ndarray, letters: np.ndarray, d: int) -> dict[int, 
     return {i: np.compress(letters == i, pts, axis=0) for i in range(1, d + 1)}
 
 
-# rows of the stepped line centred at a time: 1.5 MB of float temporaries at d = 3
-_CENTER_ROWS = 65_536
-
-
 def _project_line(sd: SpectralData, word: bytes) -> np.ndarray:
     """The projected stepped-line vertices 0..n-1 of word, in word order:
     an (n, d-1) array whose row t is the projection of l(word[:t]).
 
-    The counts are built in the one float (n, d) array the matrix product
-    reads: a 1 per row for the letter before it, summed in place.  The sums
-    are integers below 2**53, so each is exact and equals the int64 count
-    converted to float.  Then t * u is subtracted from row t, a chunk of
+    Rows 0..n-1 of the float stepped line are the operand the matrix
+    product reads.  t * u is subtracted from row t in place, _CHUNK_ROWS
     rows at a time, which gives the same bits as one full-size subtraction.
     The product itself is taken on the full operand, since its rounding can
-    depend on the operand's shape.  At its peak the call holds that operand
-    and the result: 8 * (2d - 1) bytes per point."""
-    n, d = len(word), sd.d
-    letters = as_letters(word, d)
-    centered = np.zeros((n, d))
-    for j in range(d):
-        centered[1:, j] = letters[:-1] == j + 1
-    np.cumsum(centered, axis=0, out=centered)
-    for start in range(0, n, _CENTER_ROWS):
-        rows = centered[start : start + _CENTER_ROWS]
+    depend on the operand's shape.  At its peak the call holds the stepped
+    line and the result: 8 * (2d - 1) bytes per point."""
+    n = len(word)
+    centered = stepped_line(word, sd.d)[:n]
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = centered[start : start + _CHUNK_ROWS]
         rows -= np.arange(start, start + len(rows), dtype=float)[:, None] * sd.u
     return centered @ sd.proj_coords.T
 
@@ -180,13 +151,12 @@ def project_word(sd: SpectralData, word: bytes) -> RauzyApprox:
     subtracted from vertex t before the matrix product.  That keeps the
     intermediate entries bounded instead of growing linearly with t, which
     would otherwise lose about six digits to cancellation on long words.
-    The vertices are counted in float, exactly (see _project_line), so the
-    call never holds the int64 stepped line: its peak is the float counts
-    and their projection, then the projection and its split by letter.
+    The call's peak is the float stepped line and its projection, then the
+    projection and its split by letter.
     """
     pts = _project_line(sd, word)
     points = _split_by_letter(pts, np.frombuffer(word, dtype=np.uint8), sd.d)
-    return RauzyApprox(points=points, d=sd.d, source="projection", meta={"n": len(word)})
+    return RauzyApprox(points=points, d=sd.d, meta={"n": len(word)})
 
 
 def _max_adapted_norm(sd: SpectralData, points: dict[int, np.ndarray]) -> float:
@@ -220,11 +190,10 @@ def project_prefixes(
         raise ResourceError(f"requested {n_points} points exceeds budget {cap}")
     word = limit_point_prefix(seq, sset, n_points, chain_index=chain_index)
     approx = project_word(sd, word)
-    if word:
-        approx.meta["max_adapted_norm"] = _max_adapted_norm(sd, approx.points)
     c = prefix_bound_constant(sset, sd)
     approx.meta.update(
         {
+            "max_adapted_norm": _max_adapted_norm(sd, approx.points),
             "sequence": seq.describe(),
             "chain_index": chain_index,
             "C": c,
@@ -356,7 +325,10 @@ def verify_all_prefix_identities(
     so the work is about 2 * length gathers where carrying every target
     through every level took levels * length.  Every partial sum has
     nonnegative terms and is at most the full sum, so one bound computed
-    in exact arithmetic guards the int64 accumulators.
+    in exact arithmetic guards the int64 accumulators.  The stepped line's
+    float counts are integers below 2^53, and a float64 compared with an
+    int64 is equal only when the two are the same integer, so the
+    comparison is exact.
     """
     if sset.shared_matrix is None:
         raise DomainError("count identity needs a shared incidence matrix")
@@ -391,9 +363,7 @@ def verify_all_prefix_identities(
         part_counts += (rhs @ mt)[idx]
         rhs = part_counts
     line = stepped_line(words[0][:length], d)
-    return PrefixIdentityReport(
-        checked=length, levels=depth, all_exact=bool(np.array_equal(line.vertices, rhs))
-    )
+    return PrefixIdentityReport(checked=length, levels=depth, all_exact=bool(np.array_equal(line, rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +425,7 @@ def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> Rauzy
         np.matmul(src, mt, out=view)
         view += edge.translate
     meta = {"depth": approx.meta.get("depth", 0) + 1}
-    return RauzyApprox(points=points, d=sd.d, source="gifs", meta=meta)
+    return RauzyApprox(points=points, d=sd.d, meta=meta)
 
 
 def _thin(points: np.ndarray, keep: int, key_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -473,14 +443,11 @@ def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> f
     """Largest adapted distance from a removed point to its nearest kept
     point, by the plain formula `hausdorff` uses.
 
-    One pass of `_farthest`: no tree holds all the kept points unless the
+    One `_directed` pass: no tree holds all the kept points unless the
     cells its rows need hold most of them, as on a kept cloud not much
     larger than the sample (see `_nearest`).  The grids, keys and adapted
     copies are freed on return, before the next level is stepped."""
-    query, target = to_adapted(sd, removed), to_adapted(sd, kept)
-    r, grid = _sampled_grid(query, target)
-    loss, _ = _farthest(query, grid.keys(query), target, grid.keys(target), grid, r)
-    return float(loss)
+    return float(_directed(to_adapted(sd, removed), to_adapted(sd, kept))[0][0])
 
 
 def gifs_attractor(
@@ -498,7 +465,7 @@ def gifs_attractor(
     meta["error_bound"].
 
     A level's loss is the largest distance from a removed point to its
-    nearest kept point, by the plain formula, from one pass of `_farthest`
+    nearest kept point, by the plain formula, from one `_directed` pass
     (`_thinning_loss`): the number a brute-force search gives.
     """
     sd = sset.spectral()
@@ -508,7 +475,7 @@ def gifs_attractor(
     cap = budget if budget is not None else point_budget()
     d = sd.d
     points = {i: np.zeros((1, d - 1)) for i in range(1, d + 1)}
-    approx = RauzyApprox(points=points, d=d, source="gifs", meta={"depth": 0})
+    approx = RauzyApprox(points=points, d=d, meta={"depth": 0})
     c = prefix_bound_constant(sset, sd)
     thinning_loss = 0.0
     thinned = False
@@ -575,13 +542,13 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     function of the two arrays alone.
 
     Each direction is one pass of `_farthest`, both on one grid over the
-    smaller set S's box.  The larger set L goes first, with r the exact
-    maximum over a strided sample of L.  S's direction wins only if it
-    reaches L's exact maximum, so S's pass takes that as its r and reuses
-    the grid and L's keys: it bins no row of L again.  A pass drops only
-    rows that a point of the other set is certainly nearer than r to, and
-    measures every other row exactly with a tree over the other set's
-    points in the cells around it (`_nearest`).
+    smaller set S's box.  The larger set L goes first (`_directed`), with r
+    the exact maximum over a strided sample of L.  S's direction wins only
+    if it reaches L's exact maximum, so S's pass takes that as its r and
+    reuses the grid and both sets' keys: it bins no row again.  A pass
+    drops only rows that a point of the other set is certainly nearer than
+    r to, and measures every other row exactly with a tree over the other
+    set's points in the cells around it (`_nearest`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -591,9 +558,7 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise DomainError("Hausdorff distance of an empty set is undefined")
     swap = len(a) > len(b)
     small, large = (b, a) if swap else (a, b)
-    r, grid = _sampled_grid(large, small)
-    keys_s, keys_l = grid.keys(small), grid.keys(large)
-    far_l = _farthest(large, keys_l, small, keys_s, grid, r)
+    far_l, grid, keys_l, keys_s = _directed(large, small)
     far_s = _farthest(small, keys_s, large, keys_l, grid, far_l[0])
     (d_ab, i), (d_ba, j) = (far_l, far_s) if swap else (far_s, far_l)
     if d_ab >= d_ba:
@@ -610,8 +575,8 @@ _SAMPLE_ROWS = 4096
 _CELLS_PER_ROW = 8
 _MAX_CELLS = (1 << 31) - 1
 _AXIS_CELLS = 1 << 20
-# rows binned, looked up or queried at a time, and the most cells a block of
-# `_nearest` may span
+# rows centred, binned, looked up or queried at a time, and the most cells a
+# block of `_nearest` may span
 _CHUNK_ROWS = 65_536
 
 
@@ -645,11 +610,11 @@ class _Grid:
 
 
 def _box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low corner and extent of the rows' bounding box, taken one column at
+    """Low and high corners of the rows' bounding box, taken one column at
     a time, which numpy runs much faster than a min or max along axis 0 of
     rows of length k."""
-    lo = np.array([pts[:, j].min() for j in range(pts.shape[1])])
-    return lo, np.array([pts[:, j].max() for j in range(pts.shape[1])]) - lo
+    cols = range(pts.shape[1])
+    return np.array([pts[:, j].min() for j in cols]), np.array([pts[:, j].max() for j in cols])
 
 
 def _grid(lo, extent, side: float, max_cells: int, clears: float) -> _Grid | None:
@@ -669,18 +634,25 @@ def _grid(lo, extent, side: float, max_cells: int, clears: float) -> _Grid | Non
     return _Grid(lo - side / 2, side, shape, strides, clears)
 
 
-def _sampled_grid(query, target) -> tuple[float, _Grid]:
-    """r, the exact directed maximum over a strided sample of about
-    _SAMPLE_ROWS query rows, and `_kernel_grid`'s grid for r: the lower
-    bound and the grid a `_farthest` pass takes.  The sample's nearest
-    distances come from `_nearest` on `_spread_grid`'s grid over target.
-    Target's box is taken once for both grids."""
-    box = _box(target)
+def _directed(query, target) -> tuple[tuple[float, int], _Grid, np.ndarray, np.ndarray]:
+    """One directed pass of the kernel: `_farthest`'s (maximum, row) from
+    query to target, and the grid it ran on with the query's and target's
+    keys, which a pass in the other direction can reuse.
+
+    The pass's lower bound r is the exact directed maximum over a strided
+    sample of about _SAMPLE_ROWS query rows, whose nearest distances come
+    from `_nearest` on `_spread_grid`'s grid over target; the pass runs on
+    `_kernel_grid`'s grid for r.  Target's box is taken once for both
+    grids."""
+    lo, hi = _box(target)
+    box = lo, hi - lo
     pts = query[:: -(-len(query) // _SAMPLE_ROWS)]
     grid = _spread_grid(target, box, len(pts))
     dist, idx = _nearest(pts, grid.keys(pts), target, grid.keys(target), grid, 1)
     r = _top(pts, dist, idx, target)[0]
-    return r, _kernel_grid(target, box, r, len(query))
+    grid = _kernel_grid(target, box, r, len(query))
+    qkeys, tkeys = grid.keys(query), grid.keys(target)
+    return _farthest(query, qkeys, target, tkeys, grid, r), grid, qkeys, tkeys
 
 
 def _kernel_grid(target: np.ndarray, box, r: float, n_query: int) -> _Grid:
@@ -817,12 +789,10 @@ def _block_rows(keys, tkeys, grid: _Grid, reach: int) -> np.ndarray | None:
     onto an end cell: either only adds rows.  The cell map takes a byte a
     cell, and the offsets of at most _CHUNK_ROWS cells are taken at a
     time."""
-    width = np.arange(-reach, reach + 1)
-    if np.all(grid.shape <= len(width)) or len(width) ** len(grid.strides) > _CHUNK_ROWS:
+    width = 2 * reach + 1
+    if np.all(grid.shape <= width) or width ** len(grid.strides) > _CHUNK_ROWS:
         return None
-    steps = np.zeros(1, dtype=np.intp)
-    for stride in grid.strides:
-        steps = (steps[:, None] + width * int(stride)).ravel()
+    steps = _cell_offsets(grid.strides, reach)
     wanted = np.zeros(grid.cells, dtype=bool)
     per = _CHUNK_ROWS // len(steps)
     for start in range(0, len(keys), per):
@@ -844,10 +814,10 @@ def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray |
     an int32 map, -1 where the cell is empty; which one does not matter.
     The grid's cells hold no two points r or more apart, so a row whose own
     cell is occupied is cleared.  Each other row walks its cell's 3^k - 1
-    neighbours, face neighbours first, and is cleared once a neighbour's
-    target row lies within r (1 - 1e-12) by the plain squared formula.  A
-    cleared row is thus nearer than r by a real target point, and every
-    row at or above r is left.  Only a row on the ring has neighbours past
+    neighbours, face neighbours first (`_cell_offsets`), and is cleared
+    once a neighbour's target row lies within r (1 - 1e-12) by the plain
+    squared formula.  A cleared row is thus nearer than r by a real target
+    point, and every row at or above r is left.  Only a row on the ring has neighbours past
     the grid's edge; their keys wrap onto other cells, or are clipped onto
     the map's end cells, and a target row found there clears the row only
     by its distance.
@@ -863,7 +833,7 @@ def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray |
     for start in range(0, len(target), _CHUNK_ROWS):
         keys = tkeys[start : start + _CHUNK_ROWS]
         occupant[keys] = np.arange(start, start + len(keys), dtype=np.int32)
-    steps = _neighbour_steps(grid.strides)
+    steps = _cell_offsets(grid.strides, 1)[1:]
     bound = (r * (1 - 1e-12)) ** 2
     cleared = np.ones(len(query), dtype=bool)
     for start in range(0, len(query), _CHUNK_ROWS):
@@ -890,12 +860,15 @@ def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray |
     return cleared
 
 
-def _neighbour_steps(strides) -> list[int]:
-    """Key offsets of a cell's 3^k - 1 neighbours in a row-major grid with
-    these strides, those differing in fewest coordinates first."""
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(strides)) if any(o)]
-    offsets.sort(key=np.count_nonzero)
-    return [int(np.dot(o, strides)) for o in offsets]
+def _cell_offsets(strides, reach: int) -> np.ndarray:
+    """Key offsets of the (2 reach + 1)^k cells within `reach` cells of a
+    cell along every axis, in a row-major grid with these strides: the cell
+    itself first, then by how many coordinates differ from it, fewest
+    first, so face neighbours come before the other neighbours."""
+    width = np.arange(-reach, reach + 1)
+    moves = np.stack(np.meshgrid(*[width] * len(strides), indexing="ij"), axis=-1).reshape(-1, len(strides))
+    moves = moves[np.argsort(np.count_nonzero(moves, axis=1), kind="stable")]
+    return moves @ np.asarray(strides, dtype=np.intp)
 
 
 def _cell_keys(pts, grid: _Grid) -> np.ndarray:

@@ -102,8 +102,8 @@ def test_criterion_05_contraction_on_set_pairs(tribo_set, tribo_sd):
         qts = {
             i: rng.normal(scale=0.5, size=(rng.integers(2, 40), 2)) for i in (1, 2, 3)
         }
-        a = RauzyApprox(points=pts, d=3, source="gifs")
-        b = RauzyApprox(points=qts, d=3, source="gifs")
+        a = RauzyApprox(points=pts, d=3)
+        b = RauzyApprox(points=qts, d=3)
         before = max(r.distance for r in subtile_hausdorff(tribo_sd, a, b).values())
         fa = gifs_step(sub, tribo_sd, a)
         fb = gifs_step(sub, tribo_sd, b)

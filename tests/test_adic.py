@@ -310,14 +310,14 @@ def brute_balance(word, k, d):
 
 def test_balance_spec_examples():
     # a word of period two is perfectly balanced on even windows
-    assert balances(b"\x01\x02\x01\x02\x01\x02", [2])[0].c == 0
-    assert balances(b"\x01\x01\x02\x02", [2])[0].c == 2
+    assert balances(b"\x01\x02\x01\x02\x01\x02", [2], d=2)[0].c == 0
+    assert balances(b"\x01\x01\x02\x02", [2], d=2)[0].c == 2
     word = b"\x01\x02\x03\x01"
-    assert balances(word, [len(word)])[0].c == 0  # single window
+    assert balances(word, [len(word)], d=3)[0].c == 0  # single window
 
 
 def test_balance_per_letter_detail():
-    rep = balances(b"\x01\x01\x02\x02", [2])[0]
+    rep = balances(b"\x01\x01\x02\x02", [2], d=2)[0]
     assert rep.per_letter == {1: 2, 2: 2}
     assert rep.k == 2
 
@@ -337,18 +337,18 @@ def test_balances_equal_balance_at_each_window_length():
     word = bytes(rng.randrange(1, 4) for _ in range(300))
     ks = [1, 2, 7, 7, 300]
     assert balances(word, ks, d=3) == [balances(word, [k], d=3)[0] for k in ks]
-    assert balances(word, []) == []
+    assert balances(word, [], d=3) == []
     with pytest.raises(DomainError):
-        balances(word, [1, 301])
+        balances(word, [1, 301], d=3)
     with pytest.raises(ValueError, match="byte 3 is not a letter in 1..2"):
         balances(b"\x01\x03", [1, 2], d=2)
 
 
 def test_balance_domain():
     with pytest.raises(DomainError):
-        balances(b"\x01\x02", [0])
+        balances(b"\x01\x02", [0], d=2)
     with pytest.raises(DomainError):
-        balances(b"\x01\x02", [3])
+        balances(b"\x01\x02", [3], d=2)
     # a letter outside 1..d is refused, not wrapped around
     for word in (b"\x01\x00", b"\x01\x03"):
         with pytest.raises(ValueError, match=f"byte {word[1]} is not a letter in 1..2"):

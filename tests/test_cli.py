@@ -686,16 +686,16 @@ def test_balance_and_gaps(tribo_path):
 
 
 def test_balance_builds_one_stepped_line(tribo_path, monkeypatch, capsys):
-    from rauzy import fractal
+    from rauzy import adic
 
     lengths = []
-    inner = fractal.stepped_line
+    inner = adic.stepped_line
 
     def spy(word, d):
         lengths.append(len(word))
         return inner(word, d)
 
-    monkeypatch.setattr(fractal, "stepped_line", spy)
+    monkeypatch.setattr(adic, "stepped_line", spy)
     assert main(["balance", "--subs", tribo_path, "--len", "3000", "--k-max", "7"]) == 0
     assert lengths == [3000]
     lines = capsys.readouterr().out.splitlines()

@@ -80,13 +80,13 @@ def _edge_cloud(d, rng):
     points = {1: edge, 2: np.zeros((0, k))}
     for i in range(3, d + 1):
         points[i] = rng.normal(size=(40, k)) * 10.0 ** rng.integers(-12, 12, size=(40, k))
-    return RauzyApprox(points=points, d=d, source="gifs")
+    return RauzyApprox(points=points, d=d)
 
 
 def test_csv_float_text_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     approx = RauzyApprox(
-        points={1: np.array([[0.1], [1.0]]), 2: rng.normal(size=(50, 1))}, d=2, source="gifs"
+        points={1: np.array([[0.1], [1.0]]), 2: rng.normal(size=(50, 1))}, d=2
     )
     path = tmp_path / "floats.csv"
     write_points_csv(approx, str(path))
@@ -120,10 +120,10 @@ def _assert_csv_matches_reference(values, tmp_path, name="values.csv"):
     """Write the floats as a one-coordinate cloud and as the rows of a
     two-coordinate cloud, and compare both files with the per-float reference."""
     x = np.asarray(values, dtype=float)
-    clouds = [RauzyApprox(points={1: x.reshape(-1, 1), 2: np.zeros((0, 1))}, d=2, source="gifs")]
+    clouds = [RauzyApprox(points={1: x.reshape(-1, 1), 2: np.zeros((0, 1))}, d=2)]
     if len(x) >= 2:
         pairs = np.column_stack([x, np.roll(x, 1)])
-        clouds.append(RauzyApprox(points={1: pairs[::2], 2: pairs[1::2], 3: pairs[:0]}, d=3, source="gifs"))
+        clouds.append(RauzyApprox(points={1: pairs[::2], 2: pairs[1::2], 3: pairs[:0]}, d=3))
     for approx in clouds:
         path = str(tmp_path / name)
         write_points_csv(approx, path)
@@ -266,7 +266,6 @@ def test_csv_round_trip_bit_exact(tribo_set, tmp_path):
     write_points_csv(approx, path)
     back = read_points_csv(path)
     assert back.d == approx.d
-    assert back.source == "file"
     for i in (1, 2, 3):
         assert np.array_equal(back.points[i], approx.points[i])
     assert hausdorff(back.union(), approx.union()).distance == 0.0
@@ -276,7 +275,6 @@ def test_csv_round_trip_preserves_empty_subtiles(tmp_path):
     approx = RauzyApprox(
         points={1: np.array([[0.5, -1.5]]), 2: np.zeros((0, 2)), 3: np.zeros((0, 2))},
         d=3,
-        source="gifs",
     )
     path = str(tmp_path / "one.csv")
     write_points_csv(approx, path)
@@ -505,7 +503,6 @@ def test_render_single_point_hits_center():
     approx = RauzyApprox(
         points={1: np.array([[0.3, 0.7]]), 2: np.zeros((0, 2)), 3: np.zeros((0, 2))},
         d=3,
-        source="gifs",
     )
     raster = _decode(render_ppm(approx, 64, 64), 64, 64)
     hits = np.argwhere((raster != 255).any(axis=2))
@@ -524,7 +521,6 @@ def test_render_vertical_orientation():
             3: np.zeros((0, 2)),
         },
         d=3,
-        source="gifs",
     )
     raster = _decode(render_ppm(approx, 32, 32, margin=0.1), 32, 32)
     rows_1 = np.argwhere((raster == (230, 57, 70)).all(axis=2))
@@ -543,7 +539,7 @@ def test_render_validation(tribo_set):
     with pytest.raises(ValueError):
         render_ppm(approx, 0, 32)
     empty = RauzyApprox(
-        points={i: np.zeros((0, 2)) for i in (1, 2, 3)}, d=3, source="gifs"
+        points={i: np.zeros((0, 2)) for i in (1, 2, 3)}, d=3
     )
     with pytest.raises(DomainError):
         render_ppm(empty, 32, 32)
@@ -564,7 +560,7 @@ def test_render_to_path_writes_the_returned_bytes(tmp_path, width, height, k):
     # returned without a path, header + raster.tobytes(), are the reference
     rng = np.random.default_rng(width * height + k)
     approx = RauzyApprox(
-        points={i: rng.normal(size=(50 * i, k)) for i in range(1, k + 2)}, d=k + 1, source="gifs"
+        points={i: rng.normal(size=(50 * i, k)) for i in range(1, k + 2)}, d=k + 1
     )
     want = render_ppm(approx, width, height, margin=0.1)
     path = tmp_path / "out.ppm"

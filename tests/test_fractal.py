@@ -15,6 +15,7 @@ from rauzy.core import (
     Substitution,
     abelianize,
     load_substitution_file,
+    stepped_line,
 )
 from rauzy.fractal import (
     RauzyApprox,
@@ -31,7 +32,6 @@ from rauzy.fractal import (
     project_prefixes,
     project_word,
     set_equation_check,
-    stepped_line,
     subtile_hausdorff,
     telescoped_counts,
     telescoping_decomposition,
@@ -53,17 +53,27 @@ CONST_2 = DirectiveSequence.periodic((), (1,))
 # stepped lines and projection
 
 
+def _one_hot_line(word: bytes, d: int) -> np.ndarray:
+    """The stepped line as an int64 array: a one-hot row per letter, summed
+    into a second array."""
+    n = len(word)
+    one_hot = np.zeros((n, d), dtype=np.int64)
+    one_hot[np.arange(n), np.frombuffer(word, dtype=np.uint8) - 1] = 1
+    want = np.zeros((n + 1, d), dtype=np.int64)
+    np.cumsum(one_hot, axis=0, out=want[1:])
+    return want
+
+
 def test_stepped_line_literal():
     line = stepped_line(b"\x01\x02\x01\x03", 3)
     expected = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 1, 0], [2, 1, 1]]
-    assert line.vertices.tolist() == expected
-    assert line.vertices.dtype == np.int64
-    assert line.letters.tolist() == [1, 2, 1, 3]
+    assert line.tolist() == expected
+    assert line.dtype == np.float64
 
 
 def test_stepped_line_empty_and_bad_letter():
     line = stepped_line(b"", 3)
-    assert line.vertices.shape == (1, 3)
+    assert line.shape == (1, 3)
     with pytest.raises(ValueError):
         stepped_line(b"\x04", 3)
     with pytest.raises(ValueError):
@@ -75,27 +85,23 @@ def test_stepped_line_vertices_are_prefix_counts():
     word = bytes(rng.randrange(1, 4) for _ in range(200))
     line = stepped_line(word, 3)
     for t in (0, 1, 57, 200):
-        assert tuple(line.vertices[t]) == abelianize(word[:t], 3)
+        assert tuple(line[t]) == abelianize(word[:t], 3)
 
 
 @pytest.mark.parametrize("d, n", [(2, 0), (2, 1), (3, 5000), (4, 777), (7, 3000)])
 def test_stepped_line_bit_equal_to_one_hot_reference(d, n):
+    # float counts are exact: converted to int64 they are the reference's
     word = np.random.default_rng(d * 1000 + n).integers(1, d + 1, size=n, dtype=np.uint8).tobytes()
-    # the reference: a one-hot row per letter, summed into a second array
-    one_hot = np.zeros((n, d), dtype=np.int64)
-    one_hot[np.arange(n), np.frombuffer(word, dtype=np.uint8) - 1] = 1
-    want = np.zeros((n + 1, d), dtype=np.int64)
-    np.cumsum(one_hot, axis=0, out=want[1:])
+    want = _one_hot_line(word, d)
     line = stepped_line(word, d)
-    assert line.vertices.dtype == want.dtype
-    assert line.vertices.shape == want.shape
-    assert np.array_equal(line.vertices, want)
-    assert line.letters.tobytes() == word
+    assert line.dtype == np.float64
+    assert line.shape == want.shape
+    assert np.array_equal(line.astype(np.int64), want)
+    assert np.array_equal(line, want.astype(float))
 
 
 def test_project_word_splits_by_following_letter(tribo_sd):
     approx = project_word(tribo_sd, b"\x01\x02\x01\x03")
-    assert approx.source == "projection"
     assert {i: len(p) for i, p in approx.points.items()} == {1: 2, 2: 1, 3: 1}
     assert approx.total() == 4
     assert approx.meta["n"] == 4
@@ -108,10 +114,10 @@ def test_project_word_matches_direct_projection(tribo_sd):
     # result must agree with projecting the raw count vectors
     word = b"\x01\x02\x01\x03\x01\x01\x02"
     approx = project_word(tribo_sd, word)
-    line = stepped_line(word, 3)
-    raw = project(tribo_sd, line.vertices[:-1].astype(float))
+    raw = project(tribo_sd, stepped_line(word, 3)[:-1])
+    letters = np.frombuffer(word, dtype=np.uint8)
     got = np.vstack([approx.points[i] for i in (1, 2, 3)])
-    want = np.vstack([raw[line.letters == i] for i in (1, 2, 3)])
+    want = np.vstack([raw[letters == i] for i in (1, 2, 3)])
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -123,19 +129,19 @@ def test_project_word_bit_equal_to_int64_reference(d):
     sset = SubstitutionSet([Substitution(Alphabet.default(d), _bonacci(d))])
     sd = sset.spectral()
     word = limit_point_prefix(CONST_1, sset, 150_000)
-    line = stepped_line(word, d)
-    centered = line.vertices[:-1].astype(float)
+    centered = _one_hot_line(word, d)[:-1].astype(float)
     centered -= np.arange(len(word), dtype=float)[:, None] * sd.u
     want = centered @ sd.proj_coords.T
+    letters = np.frombuffer(word, dtype=np.uint8)
     approx = project_word(sd, word)
     for i in range(1, d + 1):
-        assert approx.points[i].tobytes() == np.ascontiguousarray(want[line.letters == i]).tobytes()
+        assert approx.points[i].tobytes() == np.ascontiguousarray(want[letters == i]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["tribo_set", "tetra_set"])
 def test_project_prefixes_holds_the_cloud_once(name, request, traced_peak):
-    # at its peak the projection holds the float counts, (n, d), and their
-    # projection, (n, d - 1): no int64 stepped line and no word-order copy
+    # at its peak the projection holds the float stepped line, (n + 1, d),
+    # and its projection, (n, d - 1): no second copy of either
     sset = request.getfixturevalue(name)
     d, n = sset.spectral().d, 200_000
     project_prefixes(CONST_1, sset, 1000)  # spectral data and tables, outside the trace
@@ -340,7 +346,7 @@ def test_prefix_counts_and_gifs_edges_from_the_table(images):
 
 def test_gifs_step_from_origins(tribo_set, tribo_sd):
     seed = RauzyApprox(
-        points={i: np.zeros((1, 2)) for i in (1, 2, 3)}, d=3, source="gifs"
+        points={i: np.zeros((1, 2)) for i in (1, 2, 3)}, d=3
     )
     out = gifs_step(tribo_set.subs[0], tribo_sd, seed)
     assert out.total() == 5
@@ -369,7 +375,7 @@ def test_gifs_step_bit_equal_to_stacked_reference(which, tribo_set, tetra_set):
     # a random cloud with one letter empty, pushed through three levels
     points = {i: rng.normal(size=(int(rng.integers(50, 200)), sd.d - 1)) for i in range(1, sd.d + 1)}
     points[2] = np.zeros((0, sd.d - 1))
-    approx = RauzyApprox(points=points, d=sd.d, source="gifs")
+    approx = RauzyApprox(points=points, d=sd.d)
     for level in range(3):
         sub = sset.subs[level % len(sset.subs)]
         expected = _reference_gifs_step(sub, sd, approx)
@@ -382,7 +388,7 @@ def test_gifs_step_bit_equal_to_stacked_reference(which, tribo_set, tetra_set):
 def test_gifs_attractor_depth_one_is_single_step(tribo_set, tribo_sd):
     attractor = gifs_attractor(CONST_1, tribo_set, 1)
     seed = RauzyApprox(
-        points={i: np.zeros((1, 2)) for i in (1, 2, 3)}, d=3, source="gifs"
+        points={i: np.zeros((1, 2)) for i in (1, 2, 3)}, d=3
     )
     step = gifs_step(tribo_set.subs[0], tribo_sd, seed)
     for i in (1, 2, 3):
@@ -422,7 +428,7 @@ def test_gifs_attractor_seed_independence(tribo_set, tribo_sd):
     # iterated from an offset seed end within lam^depth of the origin's
     depth = 8
     a = gifs_attractor(CONST_1, tribo_set, depth)
-    b = RauzyApprox(points={i: np.array([[0.11, -0.07]]) for i in (1, 2, 3)}, d=3, source="gifs")
+    b = RauzyApprox(points={i: np.array([[0.11, -0.07]]) for i in (1, 2, 3)}, d=3)
     for level in range(depth - 1, -1, -1):
         b = gifs_step(tribo_set[CONST_1[level]], tribo_sd, b)
     seed_gap = adapted_norm(tribo_sd, np.array([0.11, -0.07]))
@@ -684,7 +690,7 @@ def test_coverage_validation(tribo_set, tribo_sd):
     with pytest.raises(ValueError):
         coverage_estimate(approx, bad, 1.0, 0.1)
     empty = RauzyApprox(
-        points={i: np.zeros((0, 2)) for i in (1, 2, 3)}, d=3, source="gifs"
+        points={i: np.zeros((0, 2)) for i in (1, 2, 3)}, d=3
     )
     with pytest.raises(DomainError):
         coverage_estimate(empty, gamma, 0.5, 0.1)
@@ -1255,7 +1261,8 @@ def _clearing_grid(query, target, r):
     """The grid a `_farthest` pass from query to target clears by for r."""
     from rauzy import fractal
 
-    return fractal._kernel_grid(target, fractal._box(target), r, len(query))
+    lo, hi = fractal._box(target)
+    return fractal._kernel_grid(target, (lo, hi - lo), r, len(query))
 
 
 def _cleared(query, target, r):
@@ -1271,7 +1278,7 @@ def test_kernel_grid_clears_only_rows_a_target_point_is_nearer_than_r(k, monkeyp
     from rauzy import fractal
 
     rng = np.random.default_rng(40 + k)
-    inner_steps = fractal._neighbour_steps
+    inner_offsets = fractal._cell_offsets
     gridded = by_neighbours = 0
     for _ in range(3):
         # clumps of target rows, many to a cell, and a few lone ones
@@ -1298,12 +1305,35 @@ def test_kernel_grid_clears_only_rows_a_target_point_is_nearer_than_r(k, monkeyp
                 continue
             gridded += 1
             assert not np.any(nearest[mask] >= r * (1 - 1e-12))
-            monkeypatch.setattr(fractal, "_neighbour_steps", lambda strides: [])
+            # offsets of the own cell alone: no neighbour is walked
+            monkeypatch.setattr(fractal, "_cell_offsets", lambda strides, reach: np.zeros(1, dtype=np.intp))
             own_cell = _cleared(query, target, r)
-            monkeypatch.setattr(fractal, "_neighbour_steps", inner_steps)
+            monkeypatch.setattr(fractal, "_cell_offsets", inner_offsets)
             assert np.all(mask[own_cell])
             by_neighbours += int(mask.sum() - own_cell.sum())
     assert gridded and by_neighbours
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("reach", [1, 2, 3])
+def test_kernel_cell_offsets_are_the_neighbourhood_in_walking_order(k, reach):
+    from rauzy import fractal
+
+    rng = np.random.default_rng(10 * k + reach)
+    shape = tuple(int(x) for x in rng.integers(2 * reach + 1, 2 * reach + 4, size=k))
+    strides = np.array([np.prod(shape[j + 1 :]) for j in range(k)], dtype=float)  # row-major, as `_grid`'s
+    centre = np.array([int(rng.integers(reach, n - reach)) for n in shape])
+    key = int(np.ravel_multi_index(centre, shape))
+    around = np.stack(np.meshgrid(*[np.arange(-reach, reach + 1)] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    brute = np.ravel_multi_index(tuple((centre + around).T), shape) - key
+    offsets = fractal._cell_offsets(strides, reach)
+    assert len(offsets) == len(brute) == (2 * reach + 1) ** k
+    assert sorted(offsets.tolist()) == sorted(brute.tolist())
+    # the own cell first, then by how many coordinates differ: face
+    # neighbours (one coordinate) before the others
+    moved = np.count_nonzero(np.array(np.unravel_index(key + offsets, shape)).T != centre, axis=1)
+    assert offsets[0] == 0 and moved[0] == 0
+    assert np.all(np.diff(moved) >= 0) and np.all(moved[1 : 1 + 2 * reach * k] == 1)
 
 
 def test_kernel_grid_memory_at_the_cell_cap(traced_peak, monkeypatch):
@@ -1395,7 +1425,8 @@ def test_nearest_equals_a_whole_cloud_query(k, monkeypatch):
         centres = rng.random((int(rng.integers(3, 8)), k)) * 2
         clumps = centres[rng.integers(0, len(centres), 3000)] + rng.normal(scale=1e-3, size=(3000, k))
         target = np.vstack([clumps, rng.random((20, k)) * 2, lattice])
-        lo, extent = fractal._box(target)
+        lo, hi = fractal._box(target)
+        extent = hi - lo
         # rows in the box, mostly many cells from a clump; on and just
         # outside its corners; far outside, clamped onto the ring; and the
         # lattice's cell centres

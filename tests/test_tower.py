@@ -187,7 +187,7 @@ def test_identity_sweep_reports_a_perturbed_vertex(tribo_set, monkeypatch):
 
     def perturbed(word, d):
         line = real(word, d)
-        line.vertices[len(word) // 3, 1] += 1
+        line[len(word) // 3, 1] += 1
         return line
 
     assert verify_all_prefix_identities(CONST_1, tribo_set, 5000).all_exact

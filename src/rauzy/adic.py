@@ -441,7 +441,6 @@ class FactorGapReport:
     factor_count: int
     max_gap: int
     worst_factor: bytes
-    gaps: dict[bytes, int]
 
 
 def factor_gap_check(word: bytes, factor_len: int) -> FactorGapReport:
@@ -477,7 +476,6 @@ def factor_gap_check(word: bytes, factor_len: int) -> FactorGapReport:
         factor_count=len(targets),
         max_gap=gaps[worst],
         worst_factor=worst,
-        gaps=gaps,
     )
 
 

@@ -428,26 +428,36 @@ def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> Rauzy
     return RauzyApprox(points=points, d=sd.d, meta=meta)
 
 
-def _thin(points: np.ndarray, keep: int, key_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministically keep `keep` of the rows, 1 <= keep <= len(points):
-    those with the smallest splitmix64 keys, preserving original order.
-    Returns (kept, removed).  The keys are distinct (splitmix64 is a
-    bijection of its index), so the rows whose key is at most the keep-th
-    smallest are exactly keep rows."""
-    keys = splitmix64_array(key_seed, 0, len(points))
-    mask = keys <= np.partition(keys, keep - 1)[keep - 1]
-    return np.compress(mask, points, axis=0), np.compress(~mask, points, axis=0)
-
-
-def _thinning_loss(sd: SpectralData, kept: np.ndarray, removed: np.ndarray) -> float:
-    """Largest adapted distance from a removed point to its nearest kept
-    point, by the plain formula `hausdorff` uses.
-
-    One `_directed` pass: no tree holds all the kept points unless the
-    cells its rows need hold most of them, as on a kept cloud not much
-    larger than the sample (see `_nearest`).  The grids, keys and adapted
-    copies are freed on return, before the next level is stepped."""
-    return float(_directed(to_adapted(sd, removed), to_adapted(sd, kept))[0][0])
+def _thin(sd: SpectralData, pts: np.ndarray, keep: int) -> tuple[np.ndarray, float]:
+    """At most `keep` of the rows, 1 <= keep < len(pts), in row order: the
+    one per occupied cell of a `_grid` over their box in stable coordinates
+    that `_occupants` records.  Returns (kept, loss), loss the largest
+    adapted distance from a row to its cell's kept row by `hausdorff`'s
+    formula, _CHUNK_ROWS rows at a time: a bound on the directed distance
+    from the rows to the kept ones, with no search.  The side starts at
+    (product of the box's w nonzero extents / keep)^(1/w) and doubles while
+    `_grid` refuses it or more than keep cells are occupied; past twice the
+    box's widest extent one cell is occupied, or `_one_cell` stands in."""
+    lo, hi = _box(pts)
+    extent = hi - lo
+    wide = extent[extent > 0]
+    side = np.exp((np.log(wide).sum() - np.log(keep)) / len(wide)) if len(wide) else 1.0
+    while True:
+        grid = _grid(lo, extent, side, _CELLS_PER_ROW * len(pts), 0.0)
+        if grid is None and side > extent.max():
+            grid = _one_cell(pts.shape[1])
+        if grid is not None:
+            keys = grid.keys(pts)
+            occupant = _occupants(keys, grid.cells)
+            if np.count_nonzero(occupant >= 0) <= keep:
+                break
+        side *= 2
+    loss = 0.0
+    for start in range(0, len(pts), _CHUNK_ROWS):
+        chunk = pts[start : start + _CHUNK_ROWS]
+        near = pts[occupant[keys[start : start + _CHUNK_ROWS]]]
+        loss = max(loss, float(_distances(to_adapted(sd, chunk), to_adapted(sd, near)).max()))
+    return pts[np.sort(occupant[occupant >= 0])], loss
 
 
 def gifs_attractor(
@@ -460,13 +470,10 @@ def gifs_attractor(
     first, starting from the origin in each subtile.
 
     The result is within lam^depth * C/(1-lam) of the true
-    subtiles in adapted Hausdorff distance; when the point budget forces
-    thinning, the extra one-sided loss is measured and added to the bound in
-    meta["error_bound"].
-
-    A level's loss is the largest distance from a removed point to its
-    nearest kept point, by the plain formula, from one `_directed` pass
-    (`_thinning_loss`): the number a brute-force search gives.
+    subtiles in adapted Hausdorff distance.  A level over the point budget
+    keeps each subtile's share of it by grid cell (`_thin`), and the loss
+    `_thin` certifies, shrunk by lam per later level, is added to the bound
+    in meta["error_bound"]; the kept rows are a subset, so it is one-sided.
     """
     sd = sset.spectral()
     require_unimodular_pisot(sd)
@@ -488,13 +495,9 @@ def gifs_attractor(
             for i in range(1, d + 1):
                 pts = approx.points[i]
                 keep = max(1, int(len(pts) * scale))
-                if keep >= len(pts):
-                    continue
-                kept, removed = _thin(pts, keep, key_seed=(level << 8) | i)
-                if len(removed):
-                    # later levels shrink it
-                    thinning_loss += _thinning_loss(sd, kept, removed) * sd.lam**level
-                approx.points[i] = kept
+                if keep < len(pts):
+                    approx.points[i], loss = _thin(sd, pts, keep)
+                    thinning_loss += loss * sd.lam**level  # later levels shrink it
     base_bound = sd.lam**depth * (c / (1.0 - sd.lam))
     approx.meta.update(
         {
@@ -542,13 +545,14 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
     function of the two arrays alone.
 
     Each direction is one pass of `_farthest`, both on one grid over the
-    smaller set S's box.  The larger set L goes first (`_directed`), with r
-    the exact maximum over a strided sample of L.  S's direction wins only
-    if it reaches L's exact maximum, so S's pass takes that as its r and
-    reuses the grid and both sets' keys: it bins no row again.  A pass
-    drops only rows that a point of the other set is certainly nearer than
-    r to, and measures every other row exactly with a tree over the other
-    set's points in the cells around it (`_nearest`).
+    smaller set S's box.  The larger set L goes first, with r the exact
+    maximum over a strided sample of L (from `_nearest` on `_spread_grid`'s
+    grid), on `_kernel_grid`'s grid for r.  S's direction wins only if it
+    reaches L's exact maximum, so S's pass takes that as its r and reuses
+    the grid and both sets' keys: it bins no row again.  A pass drops only
+    rows that a point of the other set is certainly nearer than r to, and
+    measures every other row exactly with a tree over the other set's
+    points in the cells around it (`_nearest`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -558,7 +562,15 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> HausdorffResult:
         raise DomainError("Hausdorff distance of an empty set is undefined")
     swap = len(a) > len(b)
     small, large = (b, a) if swap else (a, b)
-    far_l, grid, keys_l, keys_s = _directed(large, small)
+    lo, hi = _box(small)
+    box = lo, hi - lo
+    pts = large[:: -(-len(large) // _SAMPLE_ROWS)]
+    grid = _spread_grid(small, box, len(pts))
+    dist, idx = _nearest(pts, grid.keys(pts), small, grid.keys(small), grid, 1)
+    r = _top(pts, dist, idx, small)[0]
+    grid = _kernel_grid(small, box, r, len(large))
+    keys_l, keys_s = grid.keys(large), grid.keys(small)
+    far_l = _farthest(large, keys_l, small, keys_s, grid, r)
     far_s = _farthest(small, keys_s, large, keys_l, grid, far_l[0])
     (d_ab, i), (d_ba, j) = (far_l, far_s) if swap else (far_s, far_l)
     if d_ab >= d_ba:
@@ -634,25 +646,9 @@ def _grid(lo, extent, side: float, max_cells: int, clears: float) -> _Grid | Non
     return _Grid(lo - side / 2, side, shape, strides, clears)
 
 
-def _directed(query, target) -> tuple[tuple[float, int], _Grid, np.ndarray, np.ndarray]:
-    """One directed pass of the kernel: `_farthest`'s (maximum, row) from
-    query to target, and the grid it ran on with the query's and target's
-    keys, which a pass in the other direction can reuse.
-
-    The pass's lower bound r is the exact directed maximum over a strided
-    sample of about _SAMPLE_ROWS query rows, whose nearest distances come
-    from `_nearest` on `_spread_grid`'s grid over target; the pass runs on
-    `_kernel_grid`'s grid for r.  Target's box is taken once for both
-    grids."""
-    lo, hi = _box(target)
-    box = lo, hi - lo
-    pts = query[:: -(-len(query) // _SAMPLE_ROWS)]
-    grid = _spread_grid(target, box, len(pts))
-    dist, idx = _nearest(pts, grid.keys(pts), target, grid.keys(target), grid, 1)
-    r = _top(pts, dist, idx, target)[0]
-    grid = _kernel_grid(target, box, r, len(query))
-    qkeys, tkeys = grid.keys(query), grid.keys(target)
-    return _farthest(query, qkeys, target, tkeys, grid, r), grid, qkeys, tkeys
+def _one_cell(k: int) -> _Grid:
+    """A grid of one cell, whose keys are all 0."""
+    return _Grid(np.zeros(k), np.inf, np.ones(k), np.ones(k), 0.0)
 
 
 def _kernel_grid(target: np.ndarray, box, r: float, n_query: int) -> _Grid:
@@ -682,9 +678,8 @@ def _spread_grid(target: np.ndarray, box, n_query: int) -> _Grid:
     name half as many cells as target has rows, or when even three cells
     per axis are too many."""
     k, n = target.shape[1], len(target)
-    single = _Grid(np.zeros(k), np.inf, np.ones(k), np.ones(k), 0.0)
     if 2 * n_query * 3**k > n:
-        return single
+        return _one_cell(k)
     lo, extent = box
     wide = extent[extent > 0]
     side = 1.0
@@ -698,7 +693,7 @@ def _spread_grid(target: np.ndarray, box, n_query: int) -> _Grid:
             side *= (np.count_nonzero(occupied) / n) ** (1 / len(wide))
     while (grid := _grid(lo, extent, side, _CELLS_PER_ROW * n, 0.0)) is None:
         if side > extent.max():
-            return single
+            return _one_cell(k)
         side *= 2
     return grid
 
@@ -810,17 +805,17 @@ def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray |
 
     The grid covers the box of the query or of the target, so one of any
     pair lies in the box, never on the ring, and two rows with one key
-    share a cell.  Each occupied cell remembers one of its target rows in
-    an int32 map, -1 where the cell is empty; which one does not matter.
-    The grid's cells hold no two points r or more apart, so a row whose own
-    cell is occupied is cleared.  Each other row walks its cell's 3^k - 1
-    neighbours, face neighbours first (`_cell_offsets`), and is cleared
-    once a neighbour's target row lies within r (1 - 1e-12) by the plain
-    squared formula.  A cleared row is thus nearer than r by a real target
-    point, and every row at or above r is left.  Only a row on the ring has neighbours past
-    the grid's edge; their keys wrap onto other cells, or are clipped onto
-    the map's end cells, and a target row found there clears the row only
-    by its distance.
+    share a cell.  Each occupied cell remembers one of its target rows
+    (`_occupants`); which one does not matter.  The grid's cells hold no
+    two points r or more apart, so a row whose own cell is occupied is
+    cleared.  Each other row walks its cell's 3^k - 1 neighbours, face
+    neighbours first (`_cell_offsets`), and is cleared once a neighbour's
+    target row lies within r (1 - 1e-12) by the plain squared formula.  A
+    cleared row is thus nearer than r by a real target point, and every row
+    at or above r is left.  Only a row on the ring has neighbours past the
+    grid's edge; their keys wrap onto other cells, or are clipped onto the
+    map's end cells, and a target row found there clears the row only by
+    its distance.
 
     The map takes 4 bytes a cell, at most 4 _CELLS_PER_ROW = 32 bytes per
     query and target row, and the mask one byte per query row.  Rows are
@@ -829,10 +824,7 @@ def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray |
     """
     if not grid.clears:
         return None
-    occupant = np.full(grid.cells, -1, dtype=np.int32)
-    for start in range(0, len(target), _CHUNK_ROWS):
-        keys = tkeys[start : start + _CHUNK_ROWS]
-        occupant[keys] = np.arange(start, start + len(keys), dtype=np.int32)
+    occupant = _occupants(tkeys, grid.cells)
     steps = _cell_offsets(grid.strides, 1)[1:]
     bound = (r * (1 - 1e-12)) ** 2
     cleared = np.ones(len(query), dtype=bool)
@@ -858,6 +850,15 @@ def _cleared(query, qkeys, target, tkeys, grid: _Grid, r: float) -> np.ndarray |
             left, keys = left[keep], keys[keep]
         cleared[start + left] = False
     return cleared
+
+
+def _occupants(keys, cells: int) -> np.ndarray:
+    """An int32 map: per cell, one row whose key it is or -1, written _CHUNK_ROWS rows at a time."""
+    occupant = np.full(cells, -1, dtype=np.int32)
+    for start in range(0, len(keys), _CHUNK_ROWS):
+        chunk = keys[start : start + _CHUNK_ROWS]
+        occupant[chunk] = np.arange(start, start + len(chunk), dtype=np.int32)
+    return occupant
 
 
 def _cell_offsets(strides, reach: int) -> np.ndarray:

@@ -39,7 +39,8 @@ def run_cli(*argv, env_extra=None, timeout=300, stdin_text=None):
 
 def test_picture_commands_load_no_scipy(tribo_path, tmp_path):
     # only the commands that build k-d trees may pay for importing scipy;
-    # `check` pairs the set equation's clouds by index and builds none
+    # `check` pairs the set equation's clouds by index and builds none, and
+    # `gifs` thins by grid cell
     csv = str(tmp_path / "cloud.csv")
     code = (
         "import sys\n"
@@ -53,6 +54,7 @@ def test_picture_commands_load_no_scipy(tribo_path, tmp_path):
         "     '--format', 'both', '--width', '64', '--height', '64'],\n"
         f"    ['render', '--in', {csv!r}, '--out', {csv!r} + '.ppm', '--width', '64', '--height', '64'],\n"
         f"    ['check', '--subs', {tribo_path!r}],\n"
+        f"    ['gifs', '--subs', {tribo_path!r}, '--budget', '200', '--depth', '12'],\n"
         "):\n"
         "    assert rauzy.cli.main(argv) == 0\n"
         "    assert not loaded(), (argv[0], loaded())\n"
@@ -740,15 +742,15 @@ def _run_main(argv, capsys):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     cmd=st.sampled_from(["gifs", "compare"]),
-    subs=st.sampled_from(["tribo", "tetra"]),
+    subs=st.sampled_from(["fib", "tribo", "plastic", "tetra", "penta"]),
     seq=st.sampled_from(["(1)", "(2)", "12(21)", "random:3", "random:17"]),
     budget=st.integers(100, 400),
     depth=st.integers(1, 14),
     points=st.integers(1, 400),
 )
 def test_generated_thinned_runs_keep_the_exit_contract(data_dir, capsys, monkeypatch, cmd, subs, seq, budget, depth, points):
-    # budgets of 100-400 points thin every level past the first few, so the
-    # thinning loss runs through the distance kernel on tiny clouds
+    # budgets of 100-400 points thin every level past the first few, at
+    # k = 1 to 4
     monkeypatch.delenv("RAUZY_POINT_BUDGET", raising=False)
     argv = [cmd, "--subs", str(data_dir / f"{subs}.subs"), "--seq", seq, "--budget", str(budget), "--depth", str(depth)]
     if cmd == "compare":

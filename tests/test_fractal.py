@@ -445,6 +445,87 @@ def test_gifs_attractor_validation(tribo_set, quartic_set):
 
 
 # ---------------------------------------------------------------------------
+# thinning by grid cell: the loss it reports bounds what it removed
+
+
+@pytest.mark.parametrize("which, depth, budget", [("tribo", 16, 3000), ("tetra", 13, 4000), ("penta", 12, 4000)])
+def test_thinning_loss_bounds_the_distance_to_the_unthinned_cloud(which, depth, budget, tribo_set, tetra_set, penta_set):
+    # thinning only drops rows, so the thinned cloud is a subset of the
+    # unthinned one of the same depth, and their Hausdorff distance is the
+    # directed one that the certified loss bounds
+    sset = {"tribo": tribo_set, "tetra": _permuted_family(tetra_set[0], 3), "penta": penta_set}[which]
+    sd = sset.spectral()
+    seq = DirectiveSequence.random(4, len(sset))
+    full = gifs_attractor(seq, sset, depth)
+    thin = gifs_attractor(seq, sset, depth, budget=budget)
+    assert not full.meta["thinned"] and thin.meta["thinned"] and thin.total() <= budget
+    for i in range(1, sset.d + 1):
+        assert {row.tobytes() for row in thin.points[i]} <= {row.tobytes() for row in full.points[i]}
+        res = hausdorff(to_adapted(sd, full.points[i]), to_adapted(sd, thin.points[i]))
+        assert res.distance <= thin.meta["thinning_loss"]
+
+
+def _stressed_boxes(k, n, rng):
+    """Rows whose boxes stress `_thin`'s doubling: all equal, one axis of
+    zero width, an extent ratio of 10^6, and a plain random cloud."""
+    equal = np.tile(rng.random(k), (n, 1))
+    flat = rng.random((n, k))
+    flat[:, 0] = 0.25
+    stretched = rng.random((n, k))
+    stretched[:, 0] *= 1e6
+    return [equal, flat, stretched, rng.random((n, k))]
+
+
+@pytest.mark.parametrize("n", [5, 600])
+@pytest.mark.parametrize("subs, k", [("fib", 1), ("tribo", 2), ("tetra", 3), ("penta", 4)])
+def test_thin_keeps_one_row_per_occupied_cell_and_bounds_its_loss(subs, k, n, data_dir, monkeypatch):
+    from rauzy import fractal
+
+    sd = SubstitutionSet(load_substitution_file(str(data_dir / f"{subs}.subs"))).spectral()
+    maps, grids = [], []
+    inner_occupants, inner_grid = fractal._occupants, fractal._grid
+
+    def occupants_spy(keys, cells):
+        maps.append((keys, inner_occupants(keys, cells)))
+        return maps[-1][1]
+
+    def grid_spy(*args):
+        grids.append(inner_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(fractal, "_occupants", occupants_spy)
+    monkeypatch.setattr(fractal, "_grid", grid_spy)
+    rng = np.random.default_rng(70 + k)
+    one_cell = 0
+    for pts in _stressed_boxes(k, n, rng):
+        for keep in (1, n - 1):
+            maps.clear()
+            grids.clear()
+            kept, loss = fractal._thin(sd, pts, keep)
+            keys, occupant = maps[-1]
+            rows = np.flatnonzero(np.isin(np.arange(n), occupant))
+            # at most keep rows, one per occupied cell, in row order
+            assert len(kept) <= keep
+            assert kept.tobytes() == pts[rows].tobytes()
+            assert sorted(keys[rows].tolist()) == sorted(set(keys.tolist()))
+            # no smaller than the brute-force directed distance, on the rows
+            # moved into the adapted frame by one product
+            adapted = to_adapted(sd, pts)
+            removed, near = np.delete(adapted, rows, axis=0), adapted[rows]
+            assert loss >= np.sqrt(((removed[:, None, :] - near[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
+            # the side doubles from its start, and one cell spans the box
+            # once the side is twice the box's widest extent
+            extent = pts.max(axis=0) - pts.min(axis=0)
+            wide = extent[extent > 0]
+            start = np.exp((np.log(wide).sum() - np.log(keep)) / len(wide)) if len(wide) else 1.0
+            assert len(grids) <= 2 + np.log2(max(1.0, 2 * extent.max() / start))
+            one_cell += grids[-1] is None
+    # 5 rows allow 40 cells, fewer than the 3^4 of the coarsest grid at k = 4:
+    # a single cell stands in for every case
+    assert one_cell == 8 or (k, n) != (4, 5)
+
+
+# ---------------------------------------------------------------------------
 # Hausdorff distances
 
 
@@ -620,6 +701,19 @@ def test_compare_constructions_tightens_with_depth(tribo_set):
     shallow = compare_constructions(CONST_2, tribo_set, 30_000, 5)
     deep = compare_constructions(CONST_2, tribo_set, 30_000, 11)
     assert deep.overall < shallow.overall
+
+
+@pytest.mark.parametrize("seed", [26, 6, 12])
+def test_compare_stays_within_the_gifs_bound_on_the_bench_pair(seed, tribo_set, monkeypatch):
+    """The benchmark's `verify` check, `overall <= error_bound`, on the tribo
+    pair at depth 24 and 200k points, for seeds of 1-100 with the least
+    margin (8.8%, 11.3% and 17.5% of the bound).  The bound covers the GIFS
+    side alone, so the check is not a theorem (ROADMAP item 1): this test
+    guards the benchmark's check until item 1 lands."""
+    monkeypatch.delenv("RAUZY_POINT_BUDGET", raising=False)
+    rep = compare_constructions(parse_sequence_spec(f"random:{seed}", len(tribo_set)), tribo_set, 200_000, 24)
+    assert rep.gifs_meta["thinned"]
+    assert rep.overall <= rep.gifs_meta["error_bound"]
 
 
 def test_classification_runs_once_per_set(tribo_set, monkeypatch):
@@ -876,44 +970,11 @@ def test_hausdorff_duplicates_and_ties_follow_the_reference():
     assert ties_broken_otherwise > 0
 
 
-def test_gifs_thinning_equals_balanced_tree_reference(tribo_set, tetra_set, monkeypatch):
-    from scipy.spatial import cKDTree
-
-    from rauzy import fractal
-
-    cases = [(tribo_set, 12, 300), (_permuted_family(tetra_set[0], 3), 10, 400)]
-    got = [gifs_attractor(DirectiveSequence.random(4, len(s)), s, depth, budget=cap) for s, depth, cap in cases]
-    monkeypatch.setattr(fractal, "_kdtree", cKDTree)
-    for (sset, depth, cap), res in zip(cases, got):
-        want = gifs_attractor(DirectiveSequence.random(4, len(sset)), sset, depth, budget=cap)
-        assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
-        assert res.meta["thinning_loss"] == want.meta["thinning_loss"]
-        assert res.meta["error_bound"] == want.meta["error_bound"]
-        for i in res.points:
-            assert res.points[i].tobytes() == want.points[i].tobytes()
-
-
-@pytest.mark.parametrize("n, keep", [(10, 1), (10, 9), (10, 10), (1000, 500), (200_000, 123_457)])
-def test_thin_keeps_the_rows_of_the_smallest_keys(n, keep):
-    # against an argpartition of the keys, sorted back into row order
-    from rauzy import fractal
-    from rauzy.adic import splitmix64_array
-
-    points = np.arange(2 * n, dtype=float).reshape(n, 2)
-    sel = np.sort(np.argpartition(splitmix64_array(77, 0, n), keep - 1)[:keep])
-    mask = np.zeros(n, dtype=bool)
-    mask[sel] = True
-    kept, removed = fractal._thin(points, keep, key_seed=77)
-    assert kept.tobytes() == points[mask].tobytes()
-    assert removed.tobytes() == points[~mask].tobytes()
-
-
 def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, kdtree_log):
     from rauzy import fractal
 
     builds = kdtree_log["builds"]
     calls = {
-        "gifs_attractor": lambda: gifs_attractor(CONST_1, tribo_set, 10, budget=500),
         "hausdorff": lambda: hausdorff(np.zeros((3, 2)), np.ones((4, 2))),
         "_resolution_estimate": lambda: fractal._resolution_estimate(
             tribo_sd, project_prefixes(CONST_1, tribo_set, 1000)
@@ -930,6 +991,10 @@ def test_every_kdtree_is_built_by_the_helper(tribo_set, tribo_sd, kdtree_log):
         caller == "_kdtree" and not args and kwargs == {"balanced_tree": False, "compact_nodes": False}
         for caller, _, args, kwargs in builds
     )
+    # GIFS thins by grid cell and builds no tree
+    before = len(builds)
+    assert gifs_attractor(CONST_1, tribo_set, 10, budget=500).meta["thinned"]
+    assert len(builds) == before
 
 
 # ---------------------------------------------------------------------------
@@ -1076,34 +1141,6 @@ def test_kernel_grid_too_fine_clears_nothing(cleared_log, monkeypatch):
     monkeypatch.setattr(fractal, "_AXIS_CELLS", 0)
     _assert_both_ways(c, d)
     assert cleared_log and all(cleared is None for cleared, _ in cleared_log)
-
-
-def test_kernel_thinning_loss_equals_querying_every_removed_point(tribo_set, tetra_set, monkeypatch):
-    from scipy.spatial import cKDTree
-
-    from rauzy import fractal
-
-    cases = [(tribo_set, 14, 3000), (_permuted_family(tetra_set[0], 3), 12, 4000)]
-    got = [gifs_attractor(DirectiveSequence.random(4, len(s)), s, depth, budget=cap) for s, depth, cap in cases]
-
-    def every_removed_point(sd, kept, removed):
-        # a tree over the whole kept cloud, queried by every removed point
-        kept, removed = to_adapted(sd, kept), to_adapted(sd, removed)
-        return _plain_loss(cKDTree(kept), kept, removed)
-
-    monkeypatch.setattr(fractal, "_thinning_loss", every_removed_point)
-    for (sset, depth, cap), res in zip(cases, got):
-        want = gifs_attractor(DirectiveSequence.random(4, len(sset)), sset, depth, budget=cap)
-        assert res.meta["thinned"] and res.meta["thinning_loss"] > 0
-        assert res.meta["thinning_loss"] == want.meta["thinning_loss"]
-        assert res.meta["error_bound"] == want.meta["error_bound"]
-
-
-def _plain_loss(tree, kept, removed):
-    """Largest distance from a removed row to the kept row the tree finds
-    nearest, by the plain sqrt-of-squares formula the kernel reports."""
-    near = tree.query(removed)[1]
-    return float(np.sqrt(np.sum((removed - kept[near]) ** 2, axis=1)).max())
 
 
 def test_kernel_query_counts_on_compare_and_set_equation_pairs(tribo_set, tribo_sd, kdtree_log):
@@ -1449,29 +1486,3 @@ def test_nearest_equals_a_whole_cloud_query(k, monkeypatch):
     # blocks over part of target, widened several times (at k = 4 and 5 a
     # block of reach 8 would span more than _CHUNK_ROWS cells)
     assert any(local for _, local in rounds) and max(reach for reach, local in rounds if local) >= (8 if k <= 3 else 4)
-
-
-def test_thinning_builds_no_tree_over_the_kept_cloud(tribo_set, kdtree_log, monkeypatch):
-    # every thinned level's loss is measured with trees over parts of the
-    # kept cloud only; the loss is the plain formula's over the nearest
-    # rows a tree over the whole kept cloud finds
-    from rauzy import fractal
-
-    served = []
-    inner = fractal._thinning_loss
-
-    def spy(sd, kept, removed):
-        start = len(kdtree_log["builds"])
-        loss = inner(sd, kept, removed)
-        kept, removed = to_adapted(sd, kept), to_adapted(sd, removed)
-        whole = kdtree_log["cKDTree"](kept, balanced_tree=False, compact_nodes=False)
-        want = _plain_loss(whole, kept, removed)
-        served.append((len(kept), [n for _, n, _, _ in kdtree_log["builds"][start:]], loss, want))
-        return loss
-
-    monkeypatch.setattr(fractal, "_thinning_loss", spy)
-    res = gifs_attractor(CONST_1, tribo_set, 21, budget=500_000)
-    assert res.meta["thinned"] and len(served) == 6
-    for kept, builds, loss, want in served:
-        assert builds and 2 * max(builds) <= kept
-        assert loss == want

@@ -320,15 +320,31 @@ def verify_all_prefix_identities(
     R_j[t] = l(P_j(t)) + M R_(j+1)[idx_j(t)]  for t = 0..N_j,
     with N_0 = length and N_(j+1) = idx_j(N_j); then R_0[t] is the whole
     sum for prefix t.  The forward pass, `_peel`, gives idx_j and r for
-    every position, from which l(P_j) is gathered; a backward pass folds
-    the levels in.  The positions shrink by the growth factor per level,
-    so the work is about 2 * length gathers where carrying every target
-    through every level took levels * length.  Every partial sum has
-    nonnegative terms and is at most the full sum, so one bound computed
-    in exact arithmetic guards the int64 accumulators.  The stepped line's
-    float counts are integers below 2^53, and a float64 compared with an
-    int64 is equal only when the two are the same integer, so the
-    comparison is exact.
+    every position; the sweep keeps per level only idx_j and the row of
+    l(P_j(t)) in the splitting table, both int32 (idx_j is below the
+    tower's 2^27 byte cap, the row below MAX_PREFIX_ENTRIES).  A backward
+    pass folds the levels in, deepest first and _CHUNK_ROWS rows at a time
+    (`_fold`), and lets go of each level and of R_(j+1) once R_j is built.
+    The positions shrink by the growth factor per level, so the work is
+    about 2 * length gathers where carrying every target through every
+    level took levels * length.
+
+    R_0 is never built whole: each chunk of it, rows start .. stop - 1, is
+    compared, less l(word[:start]), with the stepped line of
+    word[start : stop - 1], and l(word[:stop]) is the chunk's last row plus
+    the letter word[stop - 1].  The first chunk starts from l(empty) = 0,
+    so by induction over the chunks every prefix is checked.  Every partial
+    sum has nonnegative terms and is at most the full sum, so one bound
+    computed in exact arithmetic guards the int64 accumulators.  The
+    stepped line's float counts are integers below 2^53, and a float64
+    compared with an int64 is equal only when the two are the same
+    integer, so the comparison is exact.
+
+    At its peak the sweep holds the tower's words, two int32 per position
+    of every level, and either one level's int64 splitting in the forward
+    pass or R_(j+1) and R_j (8d bytes a row) of the largest levels folded,
+    with one chunk's temporaries: about 40 bytes per prefix at 1M prefixes
+    for d = 3 and 4.
     """
     if sset.shared_matrix is None:
         raise DomainError("count identity needs a shared incidence matrix")
@@ -349,21 +365,44 @@ def verify_all_prefix_identities(
     if worst >= 1 << 62:
         raise ResourceError("prefix identity check would overflow 64-bit accumulators")
 
-    levels = []  # per level: (idx_j, count vectors l(P_j(t))), t = 0..N_j
+    levels = []  # per level: the table, idx_j and the rows of l(P_j(t)) in it
     for sub, level_word, idx, rest in _peel(seq, sset, words, length):
-        # gathered by flat row, which numpy does faster than a 2-D index;
-        # the row numbers are built in one array
-        flat = level_word[idx].astype(np.intp)
+        # gathered by flat row, which numpy does faster than a 2-D index
+        flat = level_word[idx].astype(np.int32)
         flat *= sub.prefix_counts.shape[1]
         flat += rest
-        levels.append((idx, np.take(sub.prefix_counts.reshape(-1, d), flat, axis=0)))
+        levels.append((sub.prefix_counts.reshape(-1, d), idx.astype(np.int32), flat))
     mt = np.asarray(m.rows, dtype=np.int64).T
-    rhs = np.zeros((1, d), dtype=np.int64)  # R_J[0] = 0 once N_J = 0
-    for idx, part_counts in reversed(levels):
-        part_counts += (rhs @ mt)[idx]
-        rhs = part_counts
-    line = stepped_line(words[0][:length], d)
-    return PrefixIdentityReport(checked=length, levels=depth, all_exact=bool(np.array_equal(line, rhs)))
+    r = np.zeros((1, d), dtype=np.int64)  # R_J[0] = 0 once N_J = 0
+    while len(levels) > 1:
+        table, idx, flat = levels.pop()
+        nxt = np.empty((len(idx), d), dtype=np.int64)
+        for start in range(0, len(idx), _CHUNK_ROWS):
+            _fold(table, idx, flat, r, mt, start, nxt[start : start + _CHUNK_ROWS])
+        r = nxt
+    table, idx, flat = levels.pop()
+    buf = np.empty((min(_CHUNK_ROWS, length + 1), d), dtype=np.int64)
+    first = np.zeros(d, dtype=np.int64)  # l(word[:start])
+    for start in range(0, length + 1, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, length + 1)
+        rows = _fold(table, idx, flat, r, mt, start, buf[: stop - start])
+        rows -= first
+        if not np.array_equal(stepped_line(words[0][start : stop - 1], d), rows):
+            return PrefixIdentityReport(checked=length, levels=depth, all_exact=False)
+        first += rows[-1]
+        first[words[0][stop - 1] - 1] += 1
+    return PrefixIdentityReport(checked=length, levels=depth, all_exact=True)
+
+
+def _fold(table, idx, flat, r, mt, start: int, out: np.ndarray) -> np.ndarray:
+    """Rows start .. start + len(out) - 1 of R_j = l(P_j) + M R_(j+1)[idx_j],
+    written into out: R_(j+1) is r, l(P_j) is gathered from table by flat,
+    and mt is M transposed.  Each gather is freed before the next is made,
+    so the call holds one temporary of out's size."""
+    stop = start + len(out)
+    np.matmul(np.take(r, idx[start:stop], axis=0), mt, out=out)
+    out += np.take(table, flat[start:stop], axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +470,23 @@ def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> Rauzy
 def _thin(sd: SpectralData, pts: np.ndarray, keep: int) -> tuple[np.ndarray, float]:
     """At most `keep` of the rows, 1 <= keep < len(pts), in row order: the
     one per occupied cell of a `_grid` over their box in stable coordinates
-    that `_occupants` records.  Returns (kept, loss), loss the largest
-    adapted distance from a row to its cell's kept row by `hausdorff`'s
-    formula, _CHUNK_ROWS rows at a time: a bound on the directed distance
-    from the rows to the kept ones, with no search.  The side starts at
+    that `_occupants` records.  The grid has no ring, since every row lies
+    in the box, so its map takes at most _CELLS_PER_ROW cells per row.
+    Returns (kept, loss), loss the largest adapted distance from a row to
+    its cell's kept row by `hausdorff`'s formula, _CHUNK_ROWS rows at a
+    time: a bound on the directed distance from the rows to the kept ones,
+    with no search.  A chunk and its cells' kept rows go into the adapted
+    frame by one product of at least two rows: a one-row product can round
+    otherwise than `hausdorff`'s over a whole cloud.  The side starts at
     (product of the box's w nonzero extents / keep)^(1/w) and doubles while
     `_grid` refuses it or more than keep cells are occupied; past twice the
-    box's widest extent one cell is occupied, or `_one_cell` stands in."""
+    box's widest extent the grid is one cell, which one row occupies."""
     lo, hi = _box(pts)
     extent = hi - lo
     wide = extent[extent > 0]
     side = np.exp((np.log(wide).sum() - np.log(keep)) / len(wide)) if len(wide) else 1.0
     while True:
-        grid = _grid(lo, extent, side, _CELLS_PER_ROW * len(pts), 0.0)
-        if grid is None and side > extent.max():
-            grid = _one_cell(pts.shape[1])
+        grid = _grid(lo, extent, side, _CELLS_PER_ROW * len(pts), 0.0, ring=False)
         if grid is not None:
             keys = grid.keys(pts)
             occupant = _occupants(keys, grid.cells)
@@ -455,8 +496,8 @@ def _thin(sd: SpectralData, pts: np.ndarray, keep: int) -> tuple[np.ndarray, flo
     loss = 0.0
     for start in range(0, len(pts), _CHUNK_ROWS):
         chunk = pts[start : start + _CHUNK_ROWS]
-        near = pts[occupant[keys[start : start + _CHUNK_ROWS]]]
-        loss = max(loss, float(_distances(to_adapted(sd, chunk), to_adapted(sd, near)).max()))
+        both = to_adapted(sd, np.concatenate([chunk, pts[occupant[keys[start : start + _CHUNK_ROWS]]]]))
+        loss = max(loss, float(_distances(both[: len(chunk)], both[len(chunk) :]).max()))
     return pts[np.sort(occupant[occupant >= 0])], loss
 
 
@@ -596,9 +637,10 @@ _CHUNK_ROWS = 65_536
 class _Grid:
     """Cubes of side `side` from the corner lo: a box's cells, numbered from
     1 along each axis, inside a ring of cells 0 and shape - 1, keyed
-    row-major.  On a grid of `_kernel_grid` two points in one cell are
-    strictly nearer than `clears`; it is 0 on a grid that only sorts rows
-    into blocks for `_nearest`."""
+    row-major; a grid without a ring numbers them from 0.  On a grid of
+    `_kernel_grid` two points in one cell are strictly nearer than
+    `clears`; it is 0 on a grid that only sorts rows into blocks for
+    `_nearest`."""
 
     lo: np.ndarray
     side: float
@@ -629,21 +671,23 @@ def _box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([pts[:, j].min() for j in cols]), np.array([pts[:, j].max() for j in cols])
 
 
-def _grid(lo, extent, side: float, max_cells: int, clears: float) -> _Grid | None:
+def _grid(lo, extent, side: float, max_cells: int, clears: float, ring: bool = True) -> _Grid | None:
     """Cubes of side `side` over the box, or None when side is not positive
     or the grid would have more than max_cells (or _MAX_CELLS) cells or
     _AXIS_CELLS along an axis.  The cells start half a side before the
     box, so a row just outside it (a cloud's extreme point, off from the
     other cloud's by rounding) still shares the box's edge cells.  With at
     most 2^20 cells per axis a cell coordinate is rounded by at most 2^-32
-    of a side."""
+    of a side.  Without the ring the grid is the box's cells alone, for
+    rows that all lie in the box; `_cell_keys` numbers cells from the
+    ring's -1, so its corner lies a side further on."""
     if not side > 0 or np.any(extent >= _AXIS_CELLS * side):
         return None
-    shape = np.floor(extent / side + 0.5) + 3  # the box's cells and the ring
+    shape = np.floor(extent / side + 0.5) + (3 if ring else 1)  # the box's cells and the ring
     if np.prod(shape) > min(max_cells, _MAX_CELLS):
         return None
     strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]  # row-major
-    return _Grid(lo - side / 2, side, shape, strides, clears)
+    return _Grid(lo - side / 2 if ring else lo + side / 2, side, shape, strides, clears)
 
 
 def _one_cell(k: int) -> _Grid:

@@ -489,14 +489,13 @@ def test_thin_keeps_one_row_per_occupied_cell_and_bounds_its_loss(subs, k, n, da
         maps.append((keys, inner_occupants(keys, cells)))
         return maps[-1][1]
 
-    def grid_spy(*args):
-        grids.append(inner_grid(*args))
+    def grid_spy(*args, **kwargs):
+        grids.append(inner_grid(*args, **kwargs))
         return grids[-1]
 
     monkeypatch.setattr(fractal, "_occupants", occupants_spy)
     monkeypatch.setattr(fractal, "_grid", grid_spy)
     rng = np.random.default_rng(70 + k)
-    one_cell = 0
     for pts in _stressed_boxes(k, n, rng):
         for keep in (1, n - 1):
             maps.clear()
@@ -519,10 +518,74 @@ def test_thin_keeps_one_row_per_occupied_cell_and_bounds_its_loss(subs, k, n, da
             wide = extent[extent > 0]
             start = np.exp((np.log(wide).sum() - np.log(keep)) / len(wide)) if len(wide) else 1.0
             assert len(grids) <= 2 + np.log2(max(1.0, 2 * extent.max() / start))
-            one_cell += grids[-1] is None
-    # 5 rows allow 40 cells, fewer than the 3^4 of the coarsest grid at k = 4:
-    # a single cell stands in for every case
-    assert one_cell == 8 or (k, n) != (4, 5)
+            # the grid has no ring, so one fits within _CELLS_PER_ROW cells
+            # a row even for 5 rows at k = 4 (40 cells, fewer than 3^4)
+            assert grids[-1] is not None
+            assert grids[-1].cells <= fractal._CELLS_PER_ROW * n
+            assert grids[-1].cells == 1 or len(kept) > 1
+
+
+def _ten_bonacci() -> SubstitutionSet:
+    al = Alphabet("abcdefghij")
+    images = [al.word("a" + c) for c in "bcdefghij"] + [al.word("a")]
+    return SubstitutionSet([Substitution(al, tuple(images), name="ten")])
+
+
+def test_thin_keeps_more_than_one_row_at_high_k(monkeypatch):
+    # k = 9 with 300 points: the thinning grid must fit in 8 cells a row,
+    # which a ring of cells around the box (3^9 cells at least) would not
+    from rauzy import fractal
+
+    calls = []
+    inner = fractal._thin
+
+    def thin_spy(sd, pts, keep):
+        kept, loss = inner(sd, pts, keep)
+        calls.append((pts, keep, kept))
+        return kept, loss
+
+    monkeypatch.setattr(fractal, "_thin", thin_spy)
+    approx = gifs_attractor(CONST_1, _ten_bonacci(), 12, budget=300)
+    assert approx.meta["thinned"] and approx.total() <= 300
+    # from 64 rows on, two cells an axis (2^9) fit in 8 cells a row
+    spread = [len(kept) for pts, keep, kept in calls if keep > 1 and len(pts) >= 64 and np.ptp(pts, axis=0).any()]
+    assert len(spread) >= 5 and min(spread) > 1
+    assert approx.total() > 10 * len(approx.points)
+
+    # a box whose extents run from 1e-8 to 1e8
+    sd = _ten_bonacci().spectral()
+    pts = np.random.default_rng(1).random((2000, 9)) * np.logspace(-8, 8, 9)
+    losses = []
+    for keep in (2, 100, 1999):
+        kept, loss = inner(sd, pts, keep)
+        assert 1 < len(kept) <= keep
+        losses.append(loss)
+    assert losses == sorted(losses, reverse=True)
+
+
+def test_thin_moves_no_row_alone_into_the_adapted_frame(tribo_sd, monkeypatch):
+    # with _CHUNK_ROWS + 1 rows the last chunk is one row; a one-row product
+    # can round otherwise than the product over a whole cloud.  Every row
+    # but the last lies at one point, so the last row is the kept one and
+    # the loss is every other row's distance to it
+    from rauzy import fractal
+
+    n = fractal._CHUNK_ROWS + 1
+    pts = np.tile([0.3, -0.7], (n, 1))
+    pts[-1] = [0.9, 0.1]
+    sizes = []
+    inner = fractal.to_adapted
+
+    def to_adapted_spy(sd, rows):
+        sizes.append(len(rows))
+        return inner(sd, rows)
+
+    monkeypatch.setattr(fractal, "to_adapted", to_adapted_spy)
+    kept, loss = fractal._thin(tribo_sd, pts, 1)
+    assert kept.tobytes() == pts[-1:].tobytes()
+    assert min(sizes) > 1
+    adapted = inner(tribo_sd, pts)
+    assert loss == np.sqrt(((adapted[:-1] - adapted[-1]) ** 2).sum(axis=1)).max()
 
 
 # ---------------------------------------------------------------------------

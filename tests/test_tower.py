@@ -210,3 +210,59 @@ def test_identity_sweep_catches_a_corrupted_level_word(tribo_set, monkeypatch, l
     monkeypatch.setattr(fractal, "limit_tower", corrupted)
     with pytest.raises(AssertionError, match="split pivots disagree"):
         verify_all_prefix_identities(DirectiveSequence.random(3, 2), tribo_set, 5000)
+
+
+# ---------------------------------------------------------------------------
+# the sweep folds and compares R_0 a chunk at a time: the seams between
+# chunks are checked like every other prefix
+
+SEAM = fractal._CHUNK_ROWS
+SEAM_LENGTH = 2 * SEAM + 1  # rows 0..2 SEAM + 1: two full chunks and one of two rows
+
+
+@pytest.mark.parametrize("t", [0, 1, SEAM - 1, SEAM, SEAM + 1, SEAM_LENGTH])
+def test_identity_sweep_catches_a_corrupted_count_at_a_chunk_seam(tribo_set, monkeypatch, t):
+    real = fractal._peel
+    seq = DirectiveSequence.random(3, 2)
+
+    def corrupted(*args):
+        levels = real(*args)
+        sub, level_word, idx, rest = next(levels)
+        rest = rest.copy()
+        # the next offset in the same image: one letter more in P_0(t)
+        rest[t] += 1
+        yield sub, level_word, idx, rest
+        yield from levels
+
+    assert verify_all_prefix_identities(seq, tribo_set, SEAM_LENGTH).all_exact
+    monkeypatch.setattr(fractal, "_peel", corrupted)
+    rep = verify_all_prefix_identities(seq, tribo_set, SEAM_LENGTH)
+    assert not rep.all_exact
+    assert rep.checked == SEAM_LENGTH
+
+
+@pytest.mark.parametrize("length", [SEAM - 1, SEAM, SEAM + 1, SEAM_LENGTH])
+@pytest.mark.parametrize("which", ["tribo", "tetra"])
+def test_identity_sweep_agrees_with_the_peel_across_chunk_seams(which, length, request):
+    sset = request.getfixturevalue(f"{which}_set")
+    seq = DirectiveSequence.random(5, len(sset))
+    rep = verify_all_prefix_identities(seq, sset, length)
+    assert rep.all_exact
+    assert rep.checked == length
+    word = limit_point_prefix(seq, sset, length)
+    near_seams = {t for seam in (SEAM, 2 * SEAM) for t in (seam - 1, seam, seam + 1) if t <= length}
+    for t in sorted(near_seams):
+        parts = telescoping_decomposition(seq, sset, word[:t])
+        assert telescoped_counts(sset, parts) == abelianize(word[:t], sset.d)
+
+
+@pytest.mark.parametrize("which", ["tribo", "tetra"])
+def test_identity_sweep_holds_under_64_bytes_a_prefix(which, request, traced_peak):
+    # the tower's words, two int32 per position of every level and the two
+    # largest levels' sums folded: about 46 (d = 3) and 54 (d = 4) bytes a
+    # prefix at this length
+    sset = request.getfixturevalue(f"{which}_set")
+    n = 200_000
+    rep, peak = traced_peak(lambda: verify_all_prefix_identities(DirectiveSequence.random(3, len(sset)), sset, n))
+    assert rep.all_exact
+    assert peak < 64 * n

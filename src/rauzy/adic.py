@@ -443,16 +443,28 @@ class FactorGapReport:
     worst_factor: bytes
 
 
+def require_factor_cap(length: int, factor_len: int) -> None:
+    """Refuse (ResourceError) a recurrence check on a word of `length`
+    letters whose first-half factors of length factor_len, one bytes key
+    each, could hold more than _PREFIX_BYTE_CAP bytes:
+    (length//2 - factor_len + 1) * factor_len of them."""
+    held = (length // 2 - factor_len + 1) * factor_len
+    if held > _PREFIX_BYTE_CAP:
+        raise ResourceError(f"factors of length {factor_len} would hold {held} bytes, over the cap of {_PREFIX_BYTE_CAP}")
+
+
 def factor_gap_check(word: bytes, factor_len: int) -> FactorGapReport:
     """Largest gap between consecutive occurrences of any factor of the
     first half, with the stretch after its last occurrence counted as a gap.
 
     A small max_gap relative to len(word) is evidence of uniform recurrence;
     a factor that never recurs drives the gap toward the word length.
+    Factors over `require_factor_cap` are refused before any is kept.
     """
     n = len(word)
     if factor_len < 1 or factor_len > n // 2:
         raise DomainError("factor_len must be in 1..len(word)//2")
+    require_factor_cap(n, factor_len)
     half = n // 2
     targets = {bytes(word[i : i + factor_len]) for i in range(half - factor_len + 1)}
     last: dict[bytes, int] = {}

@@ -20,6 +20,7 @@ from .adic import (
     factor_gap_check,
     limit_point_prefix,
     parse_sequence_spec,
+    require_factor_cap,
 )
 from .core import (
     ConvergenceError,
@@ -37,6 +38,7 @@ from .fractal import (
     coverage_grid_steps,
     gifs_attractor,
     invariant_checks,
+    norm_ball,
     point_budget,
     project_prefixes,
 )
@@ -78,8 +80,9 @@ _BUDGETED = ("fractal", "gifs", "compare", "continuity", "cover", "check")
 
 def _check_flags(args) -> None:
     """Reject bad flags before any input is read or any cloud built: exit 2,
-    then exit 4 for an image over the pixel cap, a `--depth` over MAX_DEPTH
-    or more than MAX_CONTINUITY_ROWS continuity rows."""
+    then exit 4 for an image over the pixel cap, a `--depth` over MAX_DEPTH,
+    more than MAX_CONTINUITY_ROWS continuity rows or a `--factor-len` whose
+    factors would pass `require_factor_cap`."""
     if getattr(args, "chain", 0) < 0:
         raise ParseError("--chain must be nonnegative")
     if getattr(args, "budget", None) is not None and args.budget < _MIN_BUDGET:
@@ -129,6 +132,8 @@ def _check_flags(args) -> None:
         rows = (args.n_max - args.n_min) // args.stride + 1
         if rows > MAX_CONTINUITY_ROWS:
             raise ResourceError(f"{rows} continuity rows exceed the cap of {MAX_CONTINUITY_ROWS}")
+    if getattr(args, "factor_len", 0):
+        require_factor_cap(args.len, args.factor_len)
 
 
 def _output_paths(args) -> dict[str, str]:
@@ -200,18 +205,15 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _report_cloud(args, seq, approx) -> int:
+def _report_cloud(args, sset, seq, approx) -> int:
     """What `fractal` and `gifs` print for the cloud they built, and the
     files --out asks for."""
     print(f"sequence: {seq.describe()}")
     per = ", ".join(f"{i}:{len(approx.points[i])}" for i in sorted(approx.points))
     print(f"points: {approx.total()} ({per})")
+    norm, bound = norm_ball(sset, approx)
+    print(f"max-adapted-norm: {norm:.6f} bound: {bound:.6f} within-bound: {'yes' if norm <= bound else 'NO'}")
     meta = approx.meta
-    print(
-        f"max-adapted-norm: {meta['max_adapted_norm']:.6f} "
-        f"bound: {meta['norm_bound']:.6f} "
-        f"within-bound: {'yes' if meta['max_adapted_norm'] <= meta['norm_bound'] else 'NO'}"
-    )
     if "error_bound" in meta:
         print(f"error-bound: {meta['error_bound']:.6g} (ratio {meta['ratio']:.6f}, depth {meta['depth']})")
     if meta.get("thinned"):
@@ -224,14 +226,14 @@ def cmd_fractal(args) -> int:
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     approx = project_prefixes(seq, sset, args.points, chain_index=args.chain, budget=args.budget)
-    return _report_cloud(args, seq, approx)
+    return _report_cloud(args, sset, seq, approx)
 
 
 def cmd_gifs(args) -> int:
     sset = _load_set(args.subs)
     seq = _sequence(args, sset)
     approx = gifs_attractor(seq, sset, args.depth, budget=args.budget)
-    return _report_cloud(args, seq, approx)
+    return _report_cloud(args, sset, seq, approx)
 
 
 def cmd_compare(args) -> int:

@@ -497,7 +497,7 @@ def read_points_csv(path: str) -> RauzyApprox:
         raise ParseError(f"{path}: no points")
     d = k + 1
     points = _split_by_letter(coords, letters, d)
-    return RauzyApprox(points=points, d=d, meta={"path": path})
+    return RauzyApprox(points=points, d=d)
 
 
 def render_ppm(

@@ -159,18 +159,23 @@ def project_word(sd: SpectralData, word: bytes) -> RauzyApprox:
     return RauzyApprox(points=points, d=sd.d, meta={"n": len(word)})
 
 
-def _max_adapted_norm(sd: SpectralData, points: dict[int, np.ndarray]) -> float:
-    """Largest adapted norm over the nonempty clouds, taken one subtile at a
-    time, so no temporary is larger than the largest subtile."""
-    return max(float(adapted_norms(sd, p).max()) for p in points.values() if len(p))
-
-
 def prefix_bound_constant(sset: SubstitutionSet, sd: SpectralData) -> float:
     """Largest adapted norm of a GIFS edge translate, the projected count
     vector of an image prefix, over all substitutions in the set; the
     projected stepped line of any limit point stays within this over
     (1 - lam)."""
     return max(adapted_norm(sd, e.translate) for sub in sset.subs for e in build_gifs_edges(sub, sd))
+
+
+def norm_ball(sset: SubstitutionSet, approx: RauzyApprox) -> tuple[float, float]:
+    """(largest adapted norm over the nonempty clouds of approx, the radius
+    C/(1 - lam) with C = `prefix_bound_constant`).  Every projected
+    stepped line of a limit point, and so every cloud either construction
+    builds, lies within the radius.  The norm is taken one subtile at a
+    time, so no temporary is larger than the largest subtile."""
+    sd = sset.spectral()
+    norm = max(float(adapted_norms(sd, p).max()) for p in approx.points.values() if len(p))
+    return norm, prefix_bound_constant(sset, sd) / (1.0 - sd.lam)
 
 
 def project_prefixes(
@@ -190,16 +195,7 @@ def project_prefixes(
         raise ResourceError(f"requested {n_points} points exceeds budget {cap}")
     word = limit_point_prefix(seq, sset, n_points, chain_index=chain_index)
     approx = project_word(sd, word)
-    c = prefix_bound_constant(sset, sd)
-    approx.meta.update(
-        {
-            "max_adapted_norm": _max_adapted_norm(sd, approx.points),
-            "sequence": seq.describe(),
-            "chain_index": chain_index,
-            "C": c,
-            "norm_bound": c / (1.0 - sd.lam),
-        }
-    )
+    approx.meta.update({"sequence": seq.describe(), "chain_index": chain_index})
     return approx
 
 
@@ -240,6 +236,7 @@ def _peel(seq: DirectiveSequence, sset: SubstitutionSet, words: list[bytes], len
             raise AssertionError("split pivots disagree with the level word")
         yield sub, level_word, idx, rest
         top = int(idx[-1])
+        del cum, idx, rest, pivots  # not held while the next level splits
     if top:
         raise AssertionError("prefix peel did not terminate within the deepened levels")
 
@@ -372,6 +369,7 @@ def verify_all_prefix_identities(
         flat *= sub.prefix_counts.shape[1]
         flat += rest
         levels.append((sub.prefix_counts.reshape(-1, d), idx.astype(np.int32), flat))
+        del idx, rest  # the int64 splitting goes before _peel splits the next level
     mt = np.asarray(m.rows, dtype=np.int64).T
     r = np.zeros((1, d), dtype=np.int64)  # R_J[0] = 0 once N_J = 0
     while len(levels) > 1:
@@ -463,8 +461,7 @@ def gifs_step(sub: Substitution, sd: SpectralData, approx: RauzyApprox) -> Rauzy
         view = points[edge.pivot][start : start + len(src)]
         np.matmul(src, mt, out=view)
         view += edge.translate
-    meta = {"depth": approx.meta.get("depth", 0) + 1}
-    return RauzyApprox(points=points, d=sd.d, meta=meta)
+    return RauzyApprox(points=points, d=sd.d)
 
 
 def _thin(sd: SpectralData, pts: np.ndarray, keep: int) -> tuple[np.ndarray, float]:
@@ -523,7 +520,7 @@ def gifs_attractor(
     cap = budget if budget is not None else point_budget()
     d = sd.d
     points = {i: np.zeros((1, d - 1)) for i in range(1, d + 1)}
-    approx = RauzyApprox(points=points, d=d, meta={"depth": 0})
+    approx = RauzyApprox(points=points, d=d)
     c = prefix_bound_constant(sset, sd)
     thinning_loss = 0.0
     thinned = False
@@ -549,8 +546,6 @@ def gifs_attractor(
             "error_bound": base_bound + thinning_loss,
             "thinned": thinned,
             "thinning_loss": thinning_loss,
-            "norm_bound": c / (1.0 - sd.lam),
-            "max_adapted_norm": _max_adapted_norm(sd, approx.points),
         }
     )
     return approx
@@ -1153,8 +1148,7 @@ def invariant_checks(
     resid = set_equation_check(seq, sset, 2000, chain_index=chain_index, shift=shift).max_residual
     checks.append(Check("set-equation", resid < 1e-9, f"{resid:.3e}", "1e-09"))
 
-    meta = project_prefixes(seq, sset, 20_000, chain_index=chain_index).meta
-    norm, bound = meta["max_adapted_norm"], meta["norm_bound"]
+    norm, bound = norm_ball(sset, project_prefixes(seq, sset, 20_000, chain_index=chain_index))
     checks.append(Check("bounded-projection", norm <= bound, f"{norm:.4f}", f"{bound:.4f}"))
 
     prim = is_primitive_sequence(seq, sset)

@@ -20,6 +20,7 @@ from rauzy.fractal import (
     coverage_estimate,
     gifs_step,
     hausdorff,
+    norm_ball,
     project_prefixes,
     set_equation_check,
     subtile_hausdorff,
@@ -69,8 +70,7 @@ def test_criterion_03_projection_bounded(tribo_set):
     start = time.perf_counter()
     worst = 0.0
     for seq in (CONST_1, CONST_2, DirectiveSequence.random(42, 2)):
-        approx = project_prefixes(seq, tribo_set, 100_000)
-        norm, bound = approx.meta["max_adapted_norm"], approx.meta["norm_bound"]
+        norm, bound = norm_ball(tribo_set, project_prefixes(seq, tribo_set, 100_000))
         assert norm < bound, f"{seq.describe()}: {norm} not under {bound}"
         worst = max(worst, norm / bound)
     elapsed = time.perf_counter() - start

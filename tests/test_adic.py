@@ -372,6 +372,14 @@ def test_factor_gap_detects_vanishing_factor():
     assert rep.worst_factor == b"\x02"
 
 
+def test_factor_gap_refuses_factors_over_the_byte_cap():
+    # (n//2 - f + 1) * f bytes of first-half factors: 2^14 * 2^13 = 2^27 at
+    # n = 49150 is the cap itself (the CLI test admits it), and two letters
+    # more pass it, refused before any factor is kept
+    with pytest.raises(ResourceError):
+        factor_gap_check(b"\x01" * 49_152, 8192)
+
+
 def test_factor_gap_bounded_for_primitive_limit_words(tribo_set):
     seq = parse_sequence_spec("(1)", 2)
     u = limit_point_prefix(seq, tribo_set, 5000)

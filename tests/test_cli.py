@@ -387,18 +387,31 @@ def test_work_caps_refused_before_compute(tribo_path, argv, message):
     assert proc.stdout == ""
 
 
+def test_factor_len_cap_refused_before_the_input_is_read(tmp_path, capsys):
+    # a missing file would be exit 2, so exit 4 means the cap came first
+    missing = str(tmp_path / "missing.subs")
+    argv = ["balance", "--subs", missing, "--len", "200000", "--factor-len", "50000"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over the cap of 134217728" in err
+
+
 def test_work_caps_admit_their_bound():
     parser = build_parser()
     continuity = ["continuity", "--subs", "x", "--base", "(1)", "--variant", "(2)", "--n-min", "0"]
+    balance = ["balance", "--subs", "x", "--factor-len", "8192"]
     for argv in (
         ["gifs", "--subs", "x", "--depth", str(MAX_DEPTH)],
         [*continuity, "--n-max", str(MAX_CONTINUITY_ROWS - 1)],
         [*continuity, "--n-max", str(5 * MAX_CONTINUITY_ROWS - 1), "--stride", "5"],
+        [*balance, "--len", "49150"],
     ):
         _check_flags(parser.parse_args(argv))
     for argv in (
         ["compare", "--subs", "x", "--depth", str(MAX_DEPTH + 1)],
         [*continuity, "--n-max", str(MAX_CONTINUITY_ROWS)],
+        [*balance, "--len", "49152"],
     ):
         with pytest.raises(ResourceError):
             _check_flags(parser.parse_args(argv))

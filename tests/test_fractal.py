@@ -27,6 +27,7 @@ from rauzy.fractal import (
     gifs_step,
     hausdorff,
     invariant_checks,
+    norm_ball,
     point_budget,
     prefix_bound_constant,
     project_prefixes,
@@ -189,7 +190,8 @@ def test_project_prefixes_meta_and_bound(tribo_set):
     assert approx.total() == 5000
     assert approx.meta["sequence"] == "(1)"
     assert approx.meta["chain_index"] == 0
-    assert approx.meta["max_adapted_norm"] <= approx.meta["norm_bound"]
+    norm, bound = norm_ball(tribo_set, approx)
+    assert norm <= bound
 
 
 def test_project_prefixes_budget(tribo_set):
@@ -412,7 +414,33 @@ def test_gifs_attractor_meta_and_bounds(tribo_set, tribo_sd):
     assert not m["thinned"]
     assert m["thinning_loss"] == 0.0
     assert m["error_bound"] == pytest.approx(tribo_sd.lam ** 8 * m["C"] / (1 - tribo_sd.lam))
-    assert m["max_adapted_norm"] <= m["norm_bound"] + 1e-12
+    norm, bound = norm_ball(tribo_set, approx)
+    assert norm <= bound + 1e-12
+
+
+def test_norm_ball_is_taken_once_where_it_is_reported(tribo_path, tribo_set, monkeypatch, capsys):
+    # the constructors take no adapted norm of their clouds; `fractal` and
+    # `gifs` take it once per subtile, for the line they print
+    from rauzy import fractal
+    from rauzy.cli import main
+
+    calls = []
+    inner = fractal.adapted_norms
+
+    def spy(sd, ys):
+        calls.append(len(ys))
+        return inner(sd, ys)
+
+    monkeypatch.setattr(fractal, "adapted_norms", spy)
+    compare_constructions(CONST_1, tribo_set, 2000, 8)
+    project_prefixes(CONST_1, tribo_set, 2000)
+    gifs_attractor(CONST_1, tribo_set, 8)
+    assert calls == []
+    assert main(["fractal", "--subs", tribo_path, "--seq", "(1)", "--points", "2000"]) == 0
+    assert len(calls) == 3
+    assert main(["gifs", "--subs", tribo_path, "--seq", "(1)", "--depth", "8"]) == 0
+    assert len(calls) == 6
+    assert capsys.readouterr().out.count("within-bound: yes") == 2
 
 
 def test_gifs_attractor_thinning(tribo_set):

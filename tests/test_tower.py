@@ -23,6 +23,10 @@ from rauzy.adic import (
 from rauzy import fractal
 from rauzy.core import Alphabet, DomainError, ResourceError, Substitution, abelianize
 from rauzy.fractal import (
+    gifs_attractor,
+    norm_ball,
+    prefix_bound_constant,
+    project_prefixes,
     telescoped_counts,
     telescoping_decomposition,
     verify_all_prefix_identities,
@@ -87,6 +91,24 @@ def test_tower_levels_on_generated_families(which, request, data):
         assert words[j] == b"".join(sub.image(c) for c in words[j + 1])
         assert words[j][0] == chain[j]
     assert words[0][:min_len] == limit_point_prefix(seq, sset, min_len, chain_index)
+
+
+@pytest.mark.parametrize("which", FAMILIES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_norm_ball_holds_on_generated_families(which, request, data):
+    # a projected prefix and a GIFS level both lie within sum_j lam^j C by
+    # theorem, so a norm past the radius is a bug
+    sset, seq, chain_index = _draw_case(data, which, request)
+    sd = sset.spectral()
+    n = data.draw(st.integers(1, 3000), label="n")
+    depth = data.draw(st.integers(0, 8), label="depth")
+    gifs = gifs_attractor(seq, sset, depth)
+    assert not gifs.meta["thinned"]
+    for approx in (project_prefixes(seq, sset, n, chain_index=chain_index), gifs):
+        norm, radius = norm_ball(sset, approx)
+        assert radius == prefix_bound_constant(sset, sd) / (1 - sd.lam)
+        assert norm <= radius
 
 
 def _reference_peel(seq, sset, word: bytes, chain_index: int) -> list[bytes]:
@@ -266,3 +288,13 @@ def test_identity_sweep_holds_under_64_bytes_a_prefix(which, request, traced_pea
     rep, peak = traced_peak(lambda: verify_all_prefix_identities(DirectiveSequence.random(3, len(sset)), sset, n))
     assert rep.all_exact
     assert peak < 64 * n
+
+
+def test_identity_sweep_lets_go_of_each_split_level(tribo_set, traced_peak):
+    # the forward pass drops a level's int64 splitting before it splits the
+    # next, so the 1M-prefix sweep peaks in the fold (35.9 MiB on tribo),
+    # not at level 1 with the previous splitting still held (39.3 MiB)
+    seq = DirectiveSequence.random(3, len(tribo_set))
+    rep, peak = traced_peak(lambda: verify_all_prefix_identities(seq, tribo_set, 1_000_000))
+    assert rep.all_exact
+    assert peak <= 37 * 2**20
